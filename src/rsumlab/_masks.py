@@ -19,7 +19,7 @@ from .groups import GroupSpec
 
 MAX_TABLE_ORDER = 20
 
-_MASK_DTYPE = np.uint32
+MASK_DTYPE = np.uint32
 
 
 class MaskTables:
@@ -42,7 +42,7 @@ class MaskTables:
         self.all_masks = 1 << n
         self._perm_tables: dict[tuple, np.ndarray] = {}
 
-    # -- python-int mask helpers (cheap, used inside per-(A,S) loops) --------
+    # -- python-int mask helpers -------------------------------------------------
 
     def translate_bits(self, bits: int, shift_idx: int) -> int:
         """Mask of {x + shift : x in bits}."""
@@ -72,7 +72,7 @@ class MaskTables:
         """P[m] = mask of {perm[i] : i in m}; optionally cached under key."""
         if key is not None and key in self._perm_tables:
             return self._perm_tables[key]
-        table = union_table((np.uint64(1) << perm.astype(np.uint64)).astype(_MASK_DTYPE), self.n)
+        table = union_table((np.uint64(1) << perm.astype(np.uint64)).astype(MASK_DTYPE), self.n)
         if key is not None:
             self._perm_tables[key] = table
         return table
@@ -87,64 +87,67 @@ class MaskTables:
         """stab[m] = |{g : g + set(m) = set(m)}| for every mask m."""
         n = self.n
         stab = np.zeros(self.all_masks, dtype=np.int32)
-        masks = np.arange(self.all_masks, dtype=_MASK_DTYPE)
+        masks = np.arange(self.all_masks, dtype=MASK_DTYPE)
         for gi in range(n):
             stab += self.translate_mask_table(gi) == masks
         return stab
 
-    # -- per-(A, S) contribution masks -----------------------------------------
+    # -- contribution masks --------------------------------------------------------
     #
     # X +_S Y = union over y in Y of (y + (X minus (gamma*y + S))), so fixing
     # the first operand and S gives one contribution mask per candidate y.
 
-    def cmasks_general(self, abits: int, sbits: int, gamma: int = 1) -> np.ndarray:
-        """C[b] = mask of b + (A \\ (gamma*b + S)) for each element index b."""
+    def cmasks_general(self, abits, sbits: int, gamma: int = 1) -> np.ndarray:
+        """C[..., b] = mask of b + (A \\ (gamma*b + S)) for each element index b.
+
+        ``abits`` is one mask (result shape ``(n,)``) or an array of k masks
+        (result shape ``(k, n)``).  Each step ORs the translates of one element
+        x, so the cost is n numpy operations whatever k is.
+        """
         n = self.n
         if gamma != 1 and self.group.rank != 1:
             raise ValueError("twist is only defined on rank-1 groups")
-        out = np.empty(n, dtype=_MASK_DTYPE)
-        for b in range(n):
-            if sbits:
-                gb = b if gamma == 1 else (gamma * b) % n
-                excluded = self.translate_bits(sbits, gb)
-            else:
-                excluded = 0
-            out[b] = self.translate_bits(abits & ~excluded, b)
-        return out
+        a = np.asarray(abits, dtype=np.int64)
+        shifts = np.arange(n) if gamma == 1 else (gamma * np.arange(n)) % n
+        excluded = np.zeros(n, dtype=np.int64)  # excluded[b] = mask of gamma*b + S
+        for x in range(n):
+            if sbits >> x & 1:
+                excluded |= np.int64(1) << self.add[x, shifts]
+        keep = a[..., None] & ~excluded
+        out = np.zeros(keep.shape, dtype=np.int64)
+        for x in range(n):
+            out |= (keep >> x & 1) << self.add[x]
+        return out.astype(MASK_DTYPE)
 
-    def cmasks_plain(self, abits: int) -> np.ndarray:
+    def cmasks_plain(self, abits) -> np.ndarray:
         return self.cmasks_general(abits, 0)
 
-    def cmasks_restricted(self, abits: int) -> np.ndarray:
+    def cmasks_restricted(self, abits) -> np.ndarray:
         return self.cmasks_general(abits, 1)
 
 
 def popcount_table(n: int) -> np.ndarray:
-    return np.bitwise_count(np.arange(1 << n, dtype=_MASK_DTYPE)).astype(np.uint8)
+    return np.bitwise_count(np.arange(1 << n, dtype=MASK_DTYPE)).astype(np.uint8)
 
 
 def union_table(cmasks: np.ndarray, n: int) -> np.ndarray:
-    """U[m] = OR of cmasks[b] over set bits b of m, via the lsb recursion.
-
-    Processing bit b from high to low, every mask whose lowest set bit is b
-    reads the already-final value of the mask with that bit cleared.
-    """
-    u = np.zeros(1 << n, dtype=_MASK_DTYPE)
-    c = cmasks.astype(_MASK_DTYPE)
-    for b in range(n - 1, -1, -1):
-        step = 1 << (b + 1)
-        u[(1 << b)::step] = u[::step] | c[b]
-    return u
+    """U[m] = OR of cmasks[b] over set bits b of m, for every mask m."""
+    return union_table_batch(np.asarray(cmasks)[None, :], n)[0]
 
 
 def union_table_batch(cmasks: np.ndarray, n: int) -> np.ndarray:
-    """Row-wise union_table: cmasks is (k, n), result is (k, 2**n)."""
+    """Row-wise union_table: cmasks is (k, n), result is (k, 2**n).
+
+    The lsb recursion: processing bit b from high to low, every mask whose
+    lowest set bit is b reads the already-final value of the mask with that
+    bit cleared.
+    """
     k = cmasks.shape[0]
-    u = np.zeros((k, 1 << n), dtype=_MASK_DTYPE)
-    c = cmasks.astype(_MASK_DTYPE)
+    u = np.zeros((k, 1 << n), dtype=MASK_DTYPE)
+    c = cmasks.astype(MASK_DTYPE)
     for b in range(n - 1, -1, -1):
         step = 1 << (b + 1)
-        u[:, (1 << b)::step] = u[:, ::step] | c[:, b:b + 1]
+        np.bitwise_or(u[:, ::step], c[:, b:b + 1], out=u[:, (1 << b)::step])
     return u
 
 

@@ -2,14 +2,17 @@
 
 Every bound has the shape  lhs >= min(linear(|A|, |B|, |S|), p(G))  for one
 of the four operators, so the catalog is a table of coefficients plus an
-applicability predicate per kind.  Exhaustive sweeps fix (A, S) and evaluate
-all B at once through the mask tables in ``_masks``; a scalar fallback walks
-the triple stream one check at a time and is kept bit-for-bit consistent
-with the vectorized path (tests compare the two).
+applicability predicate per kind.  Exhaustive sweeps take a chunk of
+same-size A masks and one S and evaluate all B at once through the mask
+tables in ``_masks``; a scalar fallback walks the triple stream one check at
+a time and is kept bit-for-bit consistent with the vectorized path (tests
+compare the two).
 
 Sweeps shard over the position of A in the enumeration stream.  Merging is
 order-independent: counters add up and witness lists are re-sorted by a
-canonical triple key, so any shard count yields an identical summary.
+canonical triple key, so any shard count yields an identical summary.  Each
+shard counts the checks it evaluated and pruned, and the merge requires them
+to add up to the plan.
 """
 
 from __future__ import annotations
@@ -376,6 +379,8 @@ def _prunable(kind: BoundKind, m: int, h: int, plan: EnumerationPlan, p: int) ->
 class _ShardResult:
     violations: _TopK
     tight: _TopK
+    evaluated: int = 0  # (A, B, S, kind, gamma) checks decided by this shard
+    pruned: int = 0  # checks skipped because their (|A|, |S|) class was pruned
 
 
 def _estimate_checks(plan: EnumerationPlan, cfg: _SweepConfig) -> int:
@@ -410,6 +415,7 @@ def _scalar_shard(
             gammas = cfg.gammas if kind.operator is Operator.TWISTED else (None,)
             for gamma in gammas:
                 rep = check_triple(g, a, b, s, kind, gamma)
+                res.evaluated += 1
                 key = _triple_key(g.order, a.bits, b.bits, s.bits, kind, gamma)
                 payload = (a.bits, b.bits, s.bits, kind.value, gamma, rep.lhs, rep.rhs)
                 if cfg.ignore_applicability:
@@ -423,94 +429,169 @@ def _scalar_shard(
     return res
 
 
-def _vector_shard(
-    plan: EnumerationPlan, cfg: _SweepConfig, shard_index: int, shard_count: int
-) -> _ShardResult:
-    g = plan.group
-    n = g.order
-    p = g.least_prime
-    t = _masks.tables_for(g)
-    pops = t.pops
-    sizes = pops.astype(np.int64)
-    in_b_range = (sizes >= plan.b_min) & (sizes <= plan.b_max) & (sizes > 0)
-    res = _ShardResult(_TopK(cfg.max_witnesses), _TopK(cfg.max_witnesses))
-    kinds = [k for k in cfg.kinds if _kind_group_flags(k, g)[0]]
-    s_masks = list(plan_s_masks(plan))
+# Union tables of one chunk of A masks stay within this many bytes, so a
+# chunk holds 128 rows at order 10 and one row at order 17 and above.
+_CHUNK_BYTES = 512 * 1024
 
-    def harvest(collector: _TopK, hits: np.ndarray, amask, smask, kind, gamma, lhs_vec, rhs_vec):
-        idxs = np.nonzero(hits)[0]
-        if idxs.size == 0:
-            return
-        collector.total += int(idxs.size)
-        # every key in this batch exceeds key(amask, 0, 0), so a full heap
-        # whose cutoff is below that lower bound cannot change
-        thresh = collector.threshold
-        if thresh is not None and _triple_key(n, amask, 0, 0, kind, gamma) >= thresh:
-            return
-        for bm in idxs:
-            bmask = int(bm)
-            key = _triple_key(n, amask, bmask, smask, kind, gamma)
-            collector.offer(key, (amask, bmask, smask, kind.value, gamma,
-                                  int(lhs_vec[bmask]), int(rhs_vec[bmask])))
 
+def _chunk_rows(order: int) -> int:
+    return max(1, _CHUNK_BYTES // (np.dtype(_masks.MASK_DTYPE).itemsize << order))
+
+
+def _a_chunks(plan: EnumerationPlan, shard_index: int, shard_count: int, rows: int):
+    """Yield (|A|, masks): the shard's A masks in runs of equal size, <= rows each.
+
+    The shard owns every shard_count-th position of the size-ordered stream.
+    """
+    chunk: list[int] = []
+    size = 0
     for pos, amask in enumerate(plan_a_masks(plan)):
         if pos % shard_count != shard_index:
             continue
         m = amask.bit_count()
-        plain_u = None
-        restr_u = None
-        for smask in s_masks:
-            h = smask.bit_count()
-            active: list[tuple[BoundKind, int | None]] = []
-            for kind in kinds:
-                if cfg.prune and _prunable(kind, m, h, plan, p):
+        if chunk and (m != size or len(chunk) == rows):
+            yield size, chunk
+            chunk = []
+        size = m
+        chunk.append(amask)
+    if chunk:
+        yield size, chunk
+
+
+def _size_class(plan, cfg, kinds, m, h, sizes, in_b_range):
+    """Per-(|A|, |S|) work: the (kind, gamma, rhs) checks to run, and the number pruned.
+
+    ``rhs`` is an int8 vector over B that is -1 wherever B is outside the plan
+    or the bound does not apply, so neither lhs < rhs nor lhs == rhs holds there.
+    """
+    g = plan.group
+    p = g.least_prime
+    active = []
+    pruned = 0
+    for kind in kinds:
+        gammas = cfg.gammas if kind.operator is Operator.TWISTED else (None,)
+        if cfg.prune and _prunable(kind, m, h, plan, p):
+            pruned += len(gammas)
+            continue
+        info = kind.info
+        rhs = np.maximum(
+            np.minimum(info.ca * m + info.cb * sizes + info.ch * h + info.c0, p), -1
+        )
+        for gamma in gammas:
+            if cfg.ignore_applicability:
+                app = in_b_range
+            else:
+                ok, _ = _applicable_vector(kind, g, m, h, gamma, sizes)
+                if ok is None:
                     continue
-                if kind.operator is Operator.TWISTED:
-                    active.extend((kind, gamma) for gamma in cfg.gammas)
-                else:
-                    active.append((kind, None))
-            general_u = None
-            twisted_u: dict[int, np.ndarray] = {}
-            for kind, gamma in active:
-                op = kind.operator
-                if op is Operator.PLAIN:
-                    if plain_u is None:
-                        plain_u = t.union_table(t.cmasks_plain(amask))
-                    u = plain_u
-                elif op is Operator.RESTRICTED:
-                    if restr_u is None:
-                        restr_u = t.union_table(t.cmasks_restricted(amask))
-                    u = restr_u
-                elif op is Operator.GENERAL:
-                    if general_u is None:
-                        general_u = t.union_table(t.cmasks_general(amask, smask))
-                    u = general_u
-                else:
-                    if gamma not in twisted_u:
-                        twisted_u[gamma] = t.union_table(
-                            t.cmasks_general(amask, smask, gamma=gamma)
-                        )
-                    u = twisted_u[gamma]
-                lhs = pops[u].astype(np.int64)
-                info = kind.info
-                rhs = np.minimum(info.ca * m + info.cb * sizes + info.ch * h + info.c0, p)
-                if cfg.ignore_applicability:
-                    app = in_b_range
-                else:
-                    ok, _ = _applicable_vector(kind, g, amask, m, h, gamma, sizes)
-                    if ok is None:
-                        continue
-                    app = in_b_range & ok
-                if cfg.collect_violations:
-                    harvest(res.violations, app & (lhs < rhs), amask, smask, kind, gamma,
-                            lhs, rhs)
-                if cfg.collect_tight and not cfg.ignore_applicability:
-                    harvest(res.tight, app & (lhs == rhs), amask, smask, kind, gamma, lhs, rhs)
+                app = in_b_range & ok
+            active.append((kind, gamma, np.where(app, rhs, -1).astype(np.int8)))
+    return active, pruned
+
+
+def _hits(cmp, lhs, rhs, amasks, n, diag):
+    """(chunk rows, B masks) where cmp(lhs, rhs) holds; only B = A when ``diag``."""
+    if diag:
+        r = np.flatnonzero(cmp(lhs[np.arange(amasks.size), amasks], rhs[amasks]))
+        return r, amasks[r]
+    idx = np.flatnonzero(cmp(lhs, rhs))  # far faster than a 2-d nonzero
+    return idx >> n, idx & ((1 << n) - 1)
+
+
+def _harvest(collector: _TopK, rows, cols, chunk, smask, kind, gamma, lhs, rhs, n) -> None:
+    """Record the hits (rows[i], cols[i]) = (index into chunk, B mask)."""
+    if rows.size == 0:
+        return
+    collector.total += int(rows.size)
+    last = -1
+    skip = False
+    for r, bmask in zip(rows.tolist(), cols.tolist()):
+        if r != last:
+            # every key of this A exceeds key(amask, 0, 0), so a full heap
+            # whose cutoff is below that lower bound cannot change
+            last = r
+            thresh = collector.threshold
+            skip = thresh is not None and _triple_key(n, chunk[r], 0, 0, kind, gamma) >= thresh
+        if skip:
+            continue
+        collector.offer(
+            _triple_key(n, chunk[r], bmask, smask, kind, gamma),
+            (chunk[r], bmask, smask, kind.value, gamma, int(lhs[r, bmask]), int(rhs[bmask])),
+        )
+
+
+def _vector_shard(
+    plan: EnumerationPlan, cfg: _SweepConfig, shard_index: int, shard_count: int
+) -> _ShardResult:
+    """Evaluate every B at once for a chunk of same-size A masks and one S.
+
+    Union tables hold |A +_S B| for the whole chunk; pruning, rhs and
+    applicability are settled once per (|A|, |S|) class.
+    """
+    g = plan.group
+    n = g.order
+    t = _masks.tables_for(g)
+    sizes = t.pops.astype(np.int64)
+    in_b_range = (sizes >= plan.b_min) & (sizes <= plan.b_max)
+    b_count = plan.b_count()
+    res = _ShardResult(_TopK(cfg.max_witnesses), _TopK(cfg.max_witnesses))
+    kinds = [k for k in cfg.kinds if _kind_group_flags(k, g)[0]]
+    mult = sum(len(cfg.gammas) if k.operator is Operator.TWISTED else 1 for k in kinds)
+    s_by_size: dict[int, list[int]] = {}
+    for smask in plan_s_masks(plan):
+        s_by_size.setdefault(smask.bit_count(), []).append(smask)
+    collect_tight = cfg.collect_tight and not cfg.ignore_applicability
+    classes: dict[int, tuple] = {}
+    class_size = None
+
+    def popcounts(cmasks):
+        return np.bitwise_count(_masks.union_table_batch(cmasks, n)).view(np.int8)
+
+    for m, chunk in _a_chunks(plan, shard_index, shard_count, _chunk_rows(n)):
+        if m != class_size:
+            class_size, classes = m, {}
+        amasks = np.array(chunk, dtype=np.int64)
+        s_free: dict[Operator, np.ndarray] = {}  # plain/restricted tables ignore S
+        for h, s_list in s_by_size.items():
+            if h not in classes:
+                classes[h] = _size_class(plan, cfg, kinds, m, h, sizes, in_b_range)
+            active, pruned = classes[h]
+            pairs = len(chunk) * len(s_list) * b_count
+            res.pruned += pairs * pruned
+            res.evaluated += pairs * (mult - pruned)
+            if not active:
+                continue
+            for smask in s_list:
+                general: dict[int, np.ndarray] = {}  # gamma -> lhs table for this S
+                for kind, gamma, rhs in active:
+                    op = kind.operator
+                    if op is Operator.PLAIN or op is Operator.RESTRICTED:
+                        if op not in s_free:
+                            s_free[op] = popcounts(t.cmasks_plain(amasks) if op is Operator.PLAIN
+                                                   else t.cmasks_restricted(amasks))
+                        lhs = s_free[op]
+                    else:
+                        gm = 1 if gamma is None else gamma
+                        if gm not in general:
+                            general[gm] = popcounts(t.cmasks_general(amasks, smask, gm))
+                        lhs = general[gm]
+                    diag = kind.info.equal_sets and not cfg.ignore_applicability
+                    if cfg.collect_violations:
+                        _harvest(res.violations, *_hits(np.less, lhs, rhs, amasks, n, diag),
+                                 chunk, smask, kind, gamma, lhs, rhs, n)
+                    if collect_tight:
+                        _harvest(res.tight, *_hits(np.equal, lhs, rhs, amasks, n, diag),
+                                 chunk, smask, kind, gamma, lhs, rhs, n)
     return res
 
 
-def _applicable_vector(kind, g, amask, m, h, gamma, sizes):
-    """Per-B applicability as a bool vector (or (None, reason) to skip the kind)."""
+def _applicable_vector(kind, g, m, h, gamma, sizes):
+    """Per-B applicability for |A| = m, |S| = h as a bool vector over B masks.
+
+    Returns (None, reason) when the kind does not apply to any B of the class.
+    For ``equal_sets`` kinds the vector only says |B| = |A|; the caller must
+    still restrict to B = A.
+    """
     _, group_ok = _kind_group_flags(kind, g)
     if not group_ok:
         return None, "group hypothesis fails"
@@ -524,9 +605,7 @@ def _applicable_vector(kind, g, amask, m, h, gamma, sizes):
         if gm == 0 or gm == g.order - 1:
             return None, "gamma excluded"
     if info.equal_sets:
-        vec = np.zeros(1 << g.order, dtype=bool)
-        vec[amask] = True
-        return vec, ""
+        return sizes == m, ""
     if kind is BoundKind.ANR:
         return sizes != m, ""
     if kind is BoundKind.THM2:
@@ -652,13 +731,24 @@ def _run_sweep(
     cfg: _SweepConfig,
     shard_count: int,
     threads: int,
+    planned: int,
 ) -> tuple[_TopK, _TopK]:
+    """Run every shard and merge; the shards must account for all planned checks."""
+    if shard_count < 1 or threads < 1:
+        raise ValueError(f"shard_count and threads must be >= 1, got {shard_count} and {threads}")
     jobs = [(plan, cfg, i, shard_count) for i in range(shard_count)]
     if threads > 1 and shard_count > 1:
         with ProcessPoolExecutor(max_workers=min(threads, shard_count)) as pool:
             results = list(pool.map(_shard_worker, jobs))
     else:
         results = [_shard_worker(job) for job in jobs]
+    evaluated = sum(r.evaluated for r in results)
+    pruned = sum(r.pruned for r in results)
+    if evaluated + pruned != planned:
+        raise RuntimeError(
+            f"shards evaluated {evaluated} and pruned {pruned} checks, "
+            f"but the plan has {planned}"
+        )
     violations = _TopK(cfg.max_witnesses)
     tight = _TopK(cfg.max_witnesses)
     for r in results:
@@ -704,7 +794,7 @@ def exhaustive_verify(
             f"planned {checks} checks exceed the work ceiling {work_ceiling}"
         )
     start = time.perf_counter()
-    violations, tight = _run_sweep(plan, cfg, shard_count, threads)
+    violations, tight = _run_sweep(plan, cfg, shard_count, threads, checks)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return VerificationSummary(
         plan=plan,
@@ -756,6 +846,6 @@ def search_witnesses(
         raise WorkCeilingExceeded(
             f"planned {checks} checks exceed the work ceiling {work_ceiling}"
         )
-    violations, tight = _run_sweep(plan, cfg, shard_count, threads)
+    violations, tight = _run_sweep(plan, cfg, shard_count, threads, checks)
     bucket = violations if counterexample else tight
     return [_payload_report(plan, p, counterexample) for p in bucket.sorted_payloads()]

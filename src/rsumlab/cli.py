@@ -188,12 +188,13 @@ class _Output:
 
 
 def _threads(args) -> int:
+    """--threads, else RSUMLAB_THREADS, else 1; the sweep rejects values < 1."""
     if args.threads is not None:
-        return max(1, args.threads)
+        return args.threads
     env = os.environ.get("RSUMLAB_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError as exc:
             raise GroupError(f"bad RSUMLAB_THREADS value {env!r}") from exc
     return 1
@@ -246,9 +247,9 @@ def _build_plan(args, group) -> EnumerationPlan:
         b_max=args.max_b,
         s_min=min_s,
         s_max=max_s,
-        mode="sampled" if args.sample else "exhaustive",
+        mode="exhaustive" if args.sample is None else "sampled",
         sample_count=args.sample,
-        seed=args.seed if args.sample else None,
+        seed=None if args.sample is None else args.seed,
         canonicalize=args.canonicalize,
         canonicalize_s=args.canonicalize_s,
     )

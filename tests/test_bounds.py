@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rsumlab as rl
+from rsumlab import _masks, bounds
 from rsumlab.bounds import BoundKind
 from conftest import set_of
 
@@ -120,6 +121,15 @@ class TestCheckTriple:
             rl.check_triple(g, a, a, S(g, "{1}"), BoundKind.TWISTED_PAN_SUN, gamma=2)
 
 
+SCALAR_VECTOR_CASES = [
+    ("Z5", None, 2, (BoundKind.THM1, BoundKind.PAN_SUN, BoundKind.THM2)),
+    ("Z2xZ4", 4, 1, (BoundKind.THM1, BoundKind.KNESER_CD, BoundKind.BALISTER_WHEELER)),
+    ("Z7", 4, 1, (BoundKind.TWISTED_PAN_SUN,)),
+    ("Z8", 3, 1, (BoundKind.PRIME_POWER_S, BoundKind.PROP34, BoundKind.KAROLYI)),
+    ("Z5", None, 1, (BoundKind.CAUCHY_DAVENPORT, BoundKind.ERDOS_HEILBRONN, BoundKind.ANR)),
+]
+
+
 class TestExhaustiveVerify:
     def test_z7_pansun_thm1_no_violations(self):
         g = rl.parse_group("Z7")
@@ -138,19 +148,20 @@ class TestExhaustiveVerify:
         plan = rl.EnumerationPlan(group=g, s_min=1, s_max=2)
         assert rl.exhaustive_verify(plan, [BoundKind.PRIME_POWER_S]).violation_count == 0
 
-    @pytest.mark.parametrize("name,cap,smax,kinds", [
-        ("Z5", None, 2, (BoundKind.THM1, BoundKind.PAN_SUN, BoundKind.THM2)),
-        ("Z2xZ4", 4, 1, (BoundKind.THM1, BoundKind.KNESER_CD, BoundKind.BALISTER_WHEELER)),
-        ("Z7", 4, 1, (BoundKind.TWISTED_PAN_SUN,)),
-        ("Z8", 3, 1, (BoundKind.PRIME_POWER_S, BoundKind.PROP34, BoundKind.KAROLYI)),
-        ("Z5", None, 1, (BoundKind.CAUCHY_DAVENPORT, BoundKind.ERDOS_HEILBRONN, BoundKind.ANR)),
-    ])
-    def test_scalar_and_vector_paths_agree(self, name, cap, smax, kinds):
+    @pytest.mark.parametrize("name,cap,smax,kinds", SCALAR_VECTOR_CASES)
+    def test_scalar_and_vector_paths_agree(self, monkeypatch, name, cap, smax, kinds):
         g = rl.parse_group(name)
         plan = rl.EnumerationPlan(group=g, a_max=cap, b_max=cap, s_min=0, s_max=smax)
         fast = rl.exhaustive_verify(plan, kinds)
         slow = rl.exhaustive_verify(plan, kinds, force_scalar=True)
         assert fast.to_json(include_timing=False) == slow.to_json(include_timing=False)
+        # every case fits one chunk per size class; shrink the budget so the
+        # size classes span several chunks, with a partial last one
+        for rows in (1, 3):
+            monkeypatch.setattr(bounds, "_CHUNK_BYTES", _chunk_budget(g, rows))
+            assert bounds._chunk_rows(g.order) == rows
+            small = rl.exhaustive_verify(plan, kinds)
+            assert small.to_json(include_timing=False) == slow.to_json(include_timing=False)
 
     def test_scalar_and_vector_agree_canonicalized(self):
         g = rl.parse_group("Z6")
@@ -243,6 +254,92 @@ class TestExhaustiveVerify:
         seq = rl.exhaustive_verify(plan, [BoundKind.PAN_SUN], shard_count=4)
         par = rl.exhaustive_verify(plan, [BoundKind.PAN_SUN], shard_count=4, threads=4)
         assert seq.to_json(include_timing=False) == par.to_json(include_timing=False)
+
+
+class TestShardAccounting:
+    @pytest.mark.parametrize("shard_count,threads", [(0, 1), (-1, 1), (1, 0), (2, -2)])
+    def test_nonpositive_shards_or_threads_rejected(self, shard_count, threads):
+        g = rl.parse_group("Z5")
+        plan = rl.EnumerationPlan(group=g, s_min=0, s_max=0)
+        with pytest.raises(ValueError):
+            rl.exhaustive_verify(plan, [BoundKind.ANR], shard_count=shard_count,
+                                 threads=threads)
+        with pytest.raises(ValueError):
+            rl.search_witnesses(plan, BoundKind.ANR, "counterexample",
+                                shard_count=shard_count, threads=threads)
+
+    @pytest.mark.parametrize("force_scalar", [False, True])
+    @pytest.mark.parametrize("prune", [False, True])
+    @pytest.mark.parametrize("shard_count", [1, 2, 3])
+    def test_shards_account_for_every_planned_check(self, shard_count, prune, force_scalar):
+        g = rl.parse_group("Z5")
+        plan = rl.EnumerationPlan(group=g, a_max=2, b_max=3, s_min=1, s_max=2)
+        kinds = (BoundKind.THM1, BoundKind.TWISTED_PAN_SUN, BoundKind.KAROLYI)
+        summary = rl.exhaustive_verify(plan, kinds, gammas=[2, 3], prune=prune,
+                                       shard_count=shard_count, force_scalar=force_scalar)
+        cfg = bounds._SweepConfig(
+            kinds=kinds, gammas=(2, 3), collect_violations=True, collect_tight=False,
+            ignore_applicability=False, max_witnesses=10, prune=prune,
+            force_scalar=force_scalar,
+        )
+        shards = [bounds._shard_worker((plan, cfg, i, shard_count))
+                  for i in range(shard_count)]
+        assert all(r.evaluated > 0 for r in shards)  # some classes survive pruning
+        total = sum(r.evaluated + r.pruned for r in shards)
+        assert total == summary.checks_planned == plan.count_triples() * 4
+        pruned = sum(r.pruned for r in shards)
+        assert (pruned > 0) == (prune and not force_scalar)
+
+    def test_lost_checks_raise(self, monkeypatch):
+        honest = bounds._vector_shard
+
+        def lossy(*args):
+            res = honest(*args)
+            res.evaluated -= 1
+            return res
+
+        monkeypatch.setattr(bounds, "_vector_shard", lossy)
+        g = rl.parse_group("Z5")
+        plan = rl.EnumerationPlan(group=g, s_min=1, s_max=1)
+        with pytest.raises(RuntimeError, match="planned|plan has"):
+            rl.exhaustive_verify(plan, [BoundKind.THM1])
+
+
+def _chunk_budget(g, rows):
+    """A _CHUNK_BYTES value that gives chunks of `rows` A masks on group g."""
+    return rows * (np.dtype(_masks.MASK_DTYPE).itemsize << g.order)
+
+
+class TestChunkBoundaries:
+    """Shrink the chunk budget so size classes span several chunks."""
+
+    def test_small_chunks_counterexample_search(self, monkeypatch):
+        g = rl.parse_group("Z5")
+        plan = rl.EnumerationPlan(group=g, s_min=0, s_max=2)
+        for kind in (BoundKind.ANR, BoundKind.ERDOS_HEILBRONN, BoundKind.THM2):
+            default = [r.to_row() for r in rl.search_witnesses(plan, kind, "counterexample")]
+            slow = [r.to_row() for r in
+                    rl.search_witnesses(plan, kind, "counterexample", force_scalar=True)]
+            assert default == slow
+            for rows in (1, 3):
+                with monkeypatch.context() as mp:
+                    mp.setattr(bounds, "_CHUNK_BYTES", _chunk_budget(g, rows))
+                    small = rl.search_witnesses(plan, kind, "counterexample")
+                assert [r.to_row() for r in small] == slow
+
+    def test_small_chunks_prune(self, monkeypatch):
+        g = rl.parse_group("Z8")
+        plan = rl.EnumerationPlan(group=g, a_max=3, b_max=3, s_min=1, s_max=1,
+                                  canonicalize=True)
+        kinds = (BoundKind.PRIME_POWER_S, BoundKind.PROP34, BoundKind.THM1)
+        default = rl.exhaustive_verify(plan, kinds, prune=True).to_json(include_timing=False)
+        slow = rl.exhaustive_verify(plan, kinds, prune=True, force_scalar=True).to_json(
+            include_timing=False)
+        assert default == slow
+        for rows in (1, 3):
+            monkeypatch.setattr(bounds, "_CHUNK_BYTES", _chunk_budget(g, rows))
+            small = rl.exhaustive_verify(plan, kinds, prune=True)
+            assert small.to_json(include_timing=False) == slow
 
 
 class TestSearch:

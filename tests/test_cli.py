@@ -141,6 +141,34 @@ class TestVerifyCommand:
         assert json.loads(out)["violation_count"] == 0
 
 
+class TestNonsenseCounts:
+    @pytest.mark.parametrize("flag,value", [
+        ("--shards", "0"), ("--shards", "-3"), ("--threads", "0"), ("--threads", "-1"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ("verify", "--bound", "anr"), ("search", "--bound", "anr", "--mode", "counterexample"),
+    ])
+    def test_nonpositive_shards_or_threads_exit_2(self, capsys, command, flag, value):
+        code, out, err = run_cli(capsys, *command, "--group", "Z5", flag, value)
+        assert code == 2
+        assert out == ""
+        assert "must be >= 1" in err
+
+    def test_nonpositive_threads_env_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("RSUMLAB_THREADS", "0")
+        code, _, _ = run_cli(capsys, "verify", "--group", "Z5", "--bound", "anr")
+        assert code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_nonpositive_sample_exit_2(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "verify", "--group", "Z5", "--bound", "anr", "--sample", value,
+        )
+        assert code == 2
+        assert out == ""
+        assert "sample_count" in err
+
+
 class TestSearchCommand:
     def test_tight_text(self, capsys):
         code, out, _ = run_cli(

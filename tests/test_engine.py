@@ -158,6 +158,27 @@ class TestSumsetQuery:
 # -- algebraic invariants, exhaustive at small orders ---------------------------
 
 
+@pytest.mark.parametrize("name,sbits,gamma", [
+    ("Z2xZ4", 0, 1), ("Z2xZ4", 0b101, 1), ("Z7", 0, 3), ("Z7", 0b1001, 3), ("Z7", 1, 1),
+])
+def test_batched_cmasks_match_per_mask_and_element_loop(name, sbits, gamma):
+    g = rl.parse_group(name)
+    t = _masks.tables_for(g)
+    n = g.order
+    amasks = [1, 0b1011, (1 << n) - 1, 0b0110010 & ((1 << n) - 1), 0]
+    batch = t.cmasks_general(np.array(amasks), sbits, gamma)
+    assert batch.shape == (len(amasks), n)
+    assert np.array_equal(batch, np.stack([t.cmasks_general(a, sbits, gamma) for a in amasks]))
+    # reference: C[b] = b + (A \ (gamma*b + S)), element by element
+    for row, abits in zip(batch, amasks):
+        for b in range(n):
+            gb = b if gamma == 1 else (gamma * b) % n
+            excluded = {t.add[x, gb] for x in range(n) if sbits >> x & 1}
+            want = sum(1 << int(t.add[x, b]) for x in range(n)
+                       if abits >> x & 1 and x not in excluded)
+            assert int(row[b]) == want, (name, abits, b)
+
+
 def _size_table(t, abits, sbits, gamma=1):
     return t.pops[t.union_table(t.cmasks_general(abits, sbits, gamma))]
 
