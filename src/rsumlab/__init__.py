@@ -37,13 +37,10 @@ from .engine import (
     twisted_restricted_sumset,
 )
 from .subgroups import (
-    Quotient,
     Subgroup,
     all_subgroups,
     is_subgroup_set,
-    prime_index_subgroups,
     prime_order_subgroups,
-    quotient,
 )
 from .structure import (
     ArithmeticPair,

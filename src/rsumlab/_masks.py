@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import GroupSpec
+from .groups import GroupSpec, index_table
 
 MAX_TABLE_ORDER = 20
 
@@ -23,7 +23,7 @@ MASK_DTYPE = np.uint32
 
 
 class MaskTables:
-    """Per-group index arithmetic tables backing mask computations."""
+    """Whole-powerset mask computations over one group's index table."""
 
     def __init__(self, group: GroupSpec):
         n = group.order
@@ -31,66 +31,9 @@ class MaskTables:
             raise ValueError(f"mask tables support order <= {MAX_TABLE_ORDER}, got {n}")
         self.group = group
         self.n = n
-        els = [group.index_element(i) for i in range(n)]
-        add = np.empty((n, n), dtype=np.int64)
-        for i, a in enumerate(els):
-            for j, b in enumerate(els):
-                add[i, j] = group.element_index(group.add(a, b))
-        self.add = add
-        self.neg = np.array([group.element_index(group.neg(e)) for e in els], dtype=np.int64)
+        self.index = index_table(group)
+        self.add = self.index.add_array()
         self.pops = popcount_table(n)
-        self.all_masks = 1 << n
-        self._perm_tables: dict[tuple, np.ndarray] = {}
-
-    # -- python-int mask helpers -------------------------------------------------
-
-    def translate_bits(self, bits: int, shift_idx: int) -> int:
-        """Mask of {x + shift : x in bits}."""
-        col = self.add[:, shift_idx]
-        out = 0
-        while bits:
-            low = bits & -bits
-            out |= 1 << int(col[low.bit_length() - 1])
-            bits ^= low
-        return out
-
-    def negate_bits(self, bits: int) -> int:
-        out = 0
-        while bits:
-            low = bits & -bits
-            out |= 1 << int(self.neg[low.bit_length() - 1])
-            bits ^= low
-        return out
-
-    # -- whole-powerset tables ------------------------------------------------
-
-    def union_table(self, cmasks: np.ndarray) -> np.ndarray:
-        """U[m] = OR of cmasks[i] over the bits i of m, for every mask m."""
-        return union_table(cmasks, self.n)
-
-    def mask_perm_table(self, perm: np.ndarray, key: tuple | None = None) -> np.ndarray:
-        """P[m] = mask of {perm[i] : i in m}; optionally cached under key."""
-        if key is not None and key in self._perm_tables:
-            return self._perm_tables[key]
-        table = union_table((np.uint64(1) << perm.astype(np.uint64)).astype(MASK_DTYPE), self.n)
-        if key is not None:
-            self._perm_tables[key] = table
-        return table
-
-    def neg_mask_table(self) -> np.ndarray:
-        return self.mask_perm_table(self.neg, key=("neg",))
-
-    def translate_mask_table(self, shift_idx: int) -> np.ndarray:
-        return self.mask_perm_table(self.add[:, shift_idx], key=("tr", shift_idx))
-
-    def stabilizer_sizes(self) -> np.ndarray:
-        """stab[m] = |{g : g + set(m) = set(m)}| for every mask m."""
-        n = self.n
-        stab = np.zeros(self.all_masks, dtype=np.int32)
-        masks = np.arange(self.all_masks, dtype=MASK_DTYPE)
-        for gi in range(n):
-            stab += self.translate_mask_table(gi) == masks
-        return stab
 
     # -- contribution masks --------------------------------------------------------
     #
@@ -108,11 +51,12 @@ class MaskTables:
         if gamma != 1 and self.group.rank != 1:
             raise ValueError("twist is only defined on rank-1 groups")
         a = np.asarray(abits, dtype=np.int64)
-        shifts = np.arange(n) if gamma == 1 else (gamma * np.arange(n)) % n
-        excluded = np.zeros(n, dtype=np.int64)  # excluded[b] = mask of gamma*b + S
+        excluded = np.zeros(n, dtype=np.int64)  # excluded[c] = mask of c + S
         for x in range(n):
             if sbits >> x & 1:
-                excluded |= np.int64(1) << self.add[x, shifts]
+                excluded |= np.int64(1) << self.add[x]
+        if gamma != 1:
+            excluded = excluded[self.index.scaled(gamma)]  # the mask of gamma*b + S
         keep = a[..., None] & ~excluded
         out = np.zeros(keep.shape, dtype=np.int64)
         for x in range(n):

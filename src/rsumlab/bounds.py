@@ -165,9 +165,7 @@ def prop34_size_floor(h: int) -> int:
     return 6 * h * h - 5
 
 
-def bound_value(
-    kind: BoundKind, a_size: int, b_size: int, s_size: int, p: int, gamma: int | None = None
-) -> int:
+def bound_value(kind: BoundKind, a_size: int, b_size: int, s_size: int, p: int) -> int:
     """The right-hand side min-expression; may be <= 0 (then trivially met)."""
     info = kind.info
     return min(info.ca * a_size + info.cb * b_size + info.ch * s_size + info.c0, p)
@@ -281,7 +279,7 @@ def check_triple(
         if part.group != group:
             raise ValueError("triple does not belong to the stated group")
     lhs = operator_lhs(kind, a, b, s, gamma)
-    rhs = bound_value(kind, a.size, b.size, s.size, group.least_prime, gamma)
+    rhs = bound_value(kind, a.size, b.size, s.size, group.least_prime)
     applicable, reason = applicability(kind, group, a, b, s, gamma)
     satisfied = (not applicable) or lhs >= rhs
     tight = applicable and lhs == rhs
@@ -674,16 +672,20 @@ class VerificationSummary:
         return json.dumps(self.to_json_dict(include_timing), sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
-        lines = ["group,kind,A,B,S,gamma,lhs,rhs,tight"]
-        gname = format_group(self.plan.group)
-        for rep in list(self.violations) + list(self.tight):
-            row = rep.to_row()
-            gamma = "" if row["gamma"] is None else str(row["gamma"])
-            lines.append(
-                f'{gname},{row["kind"]},"{row["A"]}","{row["B"]}","{row["S"]}",'
-                f'{gamma},{row["lhs"]},{row["rhs"]},{str(row["tight"]).lower()}'
-            )
-        return "\n".join(lines) + "\n"
+        return witness_csv(self.plan.group, [r.to_row() for r in self.violations + self.tight])
+
+
+def witness_csv(group: GroupSpec, rows: list[dict]) -> str:
+    """Witness rows (``BoundReport.to_row`` dicts) as CSV text with its header."""
+    lines = ["group,kind,A,B,S,gamma,lhs,rhs,tight"]
+    gname = format_group(group)
+    for row in rows:
+        gamma = "" if row["gamma"] is None else str(row["gamma"])
+        lines.append(
+            f'{gname},{row["kind"]},"{row["A"]}","{row["B"]}","{row["S"]}",'
+            f'{gamma},{row["lhs"]},{row["rhs"]},{str(row["tight"]).lower()}'
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _payload_report(plan: EnumerationPlan, payload: tuple, hypothesis_dropped: bool) -> BoundReport:

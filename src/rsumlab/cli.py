@@ -22,6 +22,7 @@ from .bounds import (
     exhaustive_verify,
     kind_from_name,
     search_witnesses,
+    witness_csv,
 )
 from .engine import SumsetQuery
 from .groups import GroupError, format_element, format_group, parse_group
@@ -67,7 +68,8 @@ def _plan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gamma", action="append", default=None, metavar="G",
                    help="twist scalar(s) for the twisted bound; repeatable or 'all'")
-    p.add_argument("--shards", type=int, default=1, help="split the sweep into N shards")
+    p.add_argument("--shards", type=int, default=None,
+                   help="split the sweep into N shards (default: the thread count)")
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes (default: RSUMLAB_THREADS or 1)")
     p.add_argument("--work-ceiling", type=int, default=DEFAULT_WORK_CEILING)
@@ -228,9 +230,8 @@ def _parse_gammas(raw, group) -> list[int] | None:
     return out
 
 
-def _build_plan(args, group) -> EnumerationPlan:
-    kinds = getattr(args, "_kinds", [])
-    s_free = bool(kinds) and all(not k.info.needs_s for k in kinds)
+def _build_plan(args, group, kinds) -> EnumerationPlan:
+    s_free = all(not k.info.needs_s for k in kinds)
     min_s = args.min_s
     max_s = args.max_s
     if min_s is None and max_s is None:
@@ -309,9 +310,9 @@ def _cmd_sumset(args, out: _Output) -> int:
 def _cmd_verify(args, out: _Output) -> int:
     group = parse_group(args.group)
     kinds = _parse_kinds(args.bound)
-    args._kinds = kinds
-    plan = _build_plan(args, group)
+    plan = _build_plan(args, group, kinds)
     gammas = _parse_gammas(args.gamma, group)
+    threads = _threads(args)
     print(f"estimated triples: {plan.count_triples()}", file=sys.stderr)
     summary = exhaustive_verify(
         plan,
@@ -321,8 +322,8 @@ def _cmd_verify(args, out: _Output) -> int:
         work_ceiling=args.work_ceiling,
         collect_tight=not args.no_tight,
         prune=args.prune,
-        shard_count=args.shards,
-        threads=_threads(args),
+        shard_count=threads if args.shards is None else args.shards,
+        threads=threads,
     )
     _emit_summary(summary, args, out)
     return 0 if summary.ok else 1
@@ -331,9 +332,9 @@ def _cmd_verify(args, out: _Output) -> int:
 def _cmd_search(args, out: _Output) -> int:
     group = parse_group(args.group)
     kind = kind_from_name(args.bound)
-    args._kinds = [kind]
-    plan = _build_plan(args, group)
+    plan = _build_plan(args, group, [kind])
     gammas = _parse_gammas(args.gamma, group)
+    threads = _threads(args)
     print(f"estimated triples: {plan.count_triples()}", file=sys.stderr)
     reports = search_witnesses(
         plan,
@@ -342,8 +343,8 @@ def _cmd_search(args, out: _Output) -> int:
         gammas=gammas,
         max_witnesses=args.max_witnesses,
         work_ceiling=args.work_ceiling,
-        shard_count=args.shards,
-        threads=_threads(args),
+        shard_count=threads if args.shards is None else args.shards,
+        threads=threads,
     )
     rows = [r.to_row() for r in reports]
     if args.format == "json":
@@ -352,12 +353,7 @@ def _cmd_search(args, out: _Output) -> int:
              "witnesses": rows},
             sort_keys=True, indent=2) + "\n")
     elif args.format == "csv":
-        out.write("group,kind,A,B,S,gamma,lhs,rhs,tight\n")
-        for row in rows:
-            gamma = "" if row["gamma"] is None else str(row["gamma"])
-            out.write(f'{format_group(group)},{row["kind"]},"{row["A"]}","{row["B"]}",'
-                      f'"{row["S"]}",{gamma},{row["lhs"]},{row["rhs"]},'
-                      f'{str(row["tight"]).lower()}\n')
+        out.write(witness_csv(group, rows))
     else:
         tag = "TIGHT" if args.mode == "tight" else "COUNTEREXAMPLE"
         out.write(f"group={format_group(group)} kind={kind.value} mode={args.mode} "

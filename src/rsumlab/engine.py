@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import Element, GroupError, GroupSpec
+from .groups import GroupError, GroupSpec, index_table
 from .sets import ElementSet, _require_same_group
 
 
@@ -39,35 +39,7 @@ def generalized_restricted_sumset(a: ElementSet, b: ElementSet, s: ElementSet) -
     g = _require_same_group(a, b, s)
     _require_nonempty(a, "A")
     _require_nonempty(b, "B")
-    if len(g.factors) == 1:
-        return ElementSet(g, _pairs_rank1(g.order, a.bits, b.bits, s.bits, 1))
-    tables = _index_tables(g)
-    if tables is not None:
-        add, neg = tables
-        out = 0
-        sbits = s.bits
-        a_idx = list(a.indices())
-        for j in b.indices():
-            row = add[j]
-            if sbits:
-                nrow = add[neg[j]]
-                for i in a_idx:
-                    if sbits >> nrow[i] & 1:
-                        continue
-                    out |= 1 << row[i]
-            else:
-                for i in a_idx:
-                    out |= 1 << row[i]
-        return ElementSet(g, out)
-    out = 0
-    sbits = s.bits
-    a_elems = list(a.elements())
-    for be in b.elements():
-        for ae in a_elems:
-            if sbits and sbits >> g.element_index(g.sub(ae, be)) & 1:
-                continue
-            out |= 1 << g.element_index(g.add(ae, be))
-    return ElementSet(g, out)
+    return ElementSet(g, _pair_sums(g, a, b, s.bits, 1))
 
 
 def twisted_restricted_sumset(
@@ -84,55 +56,32 @@ def twisted_restricted_sumset(
     _require_nonempty(b, "B")
     if not g.is_prime_cyclic:
         raise GroupError(f"twisted sumset needs a prime cyclic group, got {g}")
-    p = g.order
-    gamma %= p
-    if gamma == 0:
+    if gamma % g.order == 0:
         raise ValueError("gamma must be non-zero modulo p")
-    return ElementSet(g, _pairs_rank1(p, a.bits, b.bits, s.bits, gamma))
+    return ElementSet(g, _pair_sums(g, a, b, s.bits, gamma))
 
 
-_INDEX_TABLE_LIMIT = 512
-_index_cache: dict[GroupSpec, tuple[list[list[int]], list[int]] | None] = {}
+def _pair_sums(g: GroupSpec, a: ElementSet, b: ElementSet, sbits: int, gamma: int) -> int:
+    """Bitmap of {a + b : a - gamma*b not in S}, by index-table lookups.
 
-
-def _index_tables(g: GroupSpec):
-    """Cached (add, neg) index tables for small higher-rank groups.
-
-    add[j] is the translation-by-j row, so sums and differences become two
-    list lookups per pair; groups above the size limit fall back to tuple
-    arithmetic.
+    Row b of the add table gives every a + b, and the row of -gamma*b every
+    a - gamma*b, so each pair costs two list reads.
     """
-    if g in _index_cache:
-        return _index_cache[g]
-    if g.order > _INDEX_TABLE_LIMIT:
-        _index_cache[g] = None
-        return None
-    els = [g.index_element(i) for i in range(g.order)]
-    add = [[g.element_index(g.add(e, f)) for e in els] for f in els]
-    neg = [g.element_index(g.neg(e)) for e in els]
-    _index_cache[g] = (add, neg)
-    return _index_cache[g]
-
-
-def _pairs_rank1(n: int, abits: int, bbits: int, sbits: int, gamma: int) -> int:
-    """Pair loop on a rank-1 group, where indices are the residues themselves."""
-    a_idx = []
-    bits = abits
-    while bits:
-        low = bits & -bits
-        a_idx.append(low.bit_length() - 1)
-        bits ^= low
+    t = index_table(g)
+    add = t.add
+    twist = t.scaled(-gamma)
+    a_idx = list(a.indices())
     out = 0
-    bits = bbits
-    while bits:
-        low = bits & -bits
-        j = low.bit_length() - 1
-        bits ^= low
-        gj = (gamma * j) % n
-        for i in a_idx:
-            if sbits >> ((i - gj) % n) & 1:
-                continue
-            out |= 1 << ((i + j) % n)
+    for j in b.indices():
+        row = add[j]
+        if sbits:
+            diff = add[twist[j]]
+            for i in a_idx:
+                if not sbits >> diff[i] & 1:
+                    out |= 1 << row[i]
+        else:
+            for i in a_idx:
+                out |= 1 << row[i]
     return out
 
 

@@ -12,13 +12,18 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 Element = tuple[int, ...]
 
 DEFAULT_MAX_ORDER = 1 << 20
 
-_GROUP_RE = re.compile(r"Z(\d+)(?:xZ(\d+))*")
+# Groups up to this order get their index arithmetic as lookup lists; above
+# it, the same lookups compute each index from its digits.
+INDEX_TABLE_LIMIT = 512
 
 
 class GroupError(ValueError):
@@ -183,6 +188,98 @@ def make_group(factors, max_order: int = DEFAULT_MAX_ORDER) -> GroupSpec:
     if order > max_order:
         raise GroupError(f"group order {order} exceeds configured maximum {max_order}")
     return GroupSpec(factors=fs, order=order, least_prime=least_prime_factor(order))
+
+
+# -- index arithmetic ---------------------------------------------------------
+
+
+def _affine_index(factors: tuple[int, ...], u: int, shift, i):
+    """Index of u*e_i + e_shift by mixed-radix digits; ints or int64 arrays."""
+    out = 0
+    weight = 1
+    for n in reversed(factors):
+        i, c = divmod(i, n)
+        shift, d = divmod(shift, n)
+        out = out + (u * c + d) % n * weight
+        weight *= n
+    return out
+
+
+class _DigitRow:
+    """``row[i]`` = index of u*e_i + e_shift, computed on lookup."""
+
+    __slots__ = ("factors", "u", "shift")
+
+    def __init__(self, factors: tuple[int, ...], u: int, shift: int):
+        self.factors, self.u, self.shift = factors, u, shift
+
+    def __getitem__(self, i: int) -> int:
+        return _affine_index(self.factors, self.u, self.shift, i)
+
+
+class _DigitRows:
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[int, ...]):
+        self.factors = factors
+
+    def __getitem__(self, j: int) -> _DigitRow:
+        return _DigitRow(self.factors, 1, j)
+
+
+class IndexTable:
+    """The group law on element indices: every sum, negation and multiple.
+
+    ``add[j][i]`` is the index of e_i + e_j, ``neg[i]`` that of -e_i and
+    ``scaled(u)[i]`` that of u*e_i.  Up to INDEX_TABLE_LIMIT elements they are
+    lists, filled by vectorised mixed-radix arithmetic; above it they are
+    rows that compute each index from its digits when read.  Get one with
+    :func:`index_table`, which caches it per group.
+    """
+
+    def __init__(self, group: GroupSpec):
+        self.factors = group.factors
+        self.order = group.order
+        self._scaled: dict[int, object] = {}
+        self.add = (
+            self.add_array().tolist() if self.order <= INDEX_TABLE_LIMIT
+            else _DigitRows(self.factors)
+        )
+        self.neg = self.scaled(-1)
+
+    def add_array(self) -> np.ndarray:
+        """The ``add`` table as an int64 ``(order, order)`` array."""
+        idx = np.arange(self.order, dtype=np.int64)
+        return _affine_index(self.factors, 1, idx[:, None], idx[None, :])
+
+    def scaled(self, u: int):
+        """Row of u*e_i over all indices i."""
+        u %= self.order
+        row = self._scaled.get(u)
+        if row is None:
+            if self.order <= INDEX_TABLE_LIMIT:
+                row = _affine_index(self.factors, u, 0, np.arange(self.order)).tolist()
+            else:
+                row = _DigitRow(self.factors, u, 0)
+            self._scaled[u] = row
+        return row
+
+
+# a table near the limit holds about 10 MB of Python ints, and rebuilding one
+# takes milliseconds, so only the most recently used groups keep theirs
+@lru_cache(maxsize=32)
+def index_table(group: GroupSpec) -> IndexTable:
+    return IndexTable(group)
+
+
+def map_bits(bits: int, row) -> int:
+    """Bitmap of {row[i] : i in bits}, e.g. a translate when row is an add row."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= 1 << row[low.bit_length() - 1]
+        bits ^= low
+    return out
 
 
 # -- text grammar: Z<n> or Z<n1>xZ<n2>x... ; elements <i> or (<i>,<j>,...) ---

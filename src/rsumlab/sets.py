@@ -18,7 +18,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .groups import Element, GroupError, GroupSpec, format_element, parse_element
+from .groups import (
+    Element, GroupError, GroupSpec, format_element, index_table, map_bits, parse_element,
+)
 
 
 class GroupMismatchError(ValueError):
@@ -146,13 +148,11 @@ class ElementSet:
     def translate(self, g: Element) -> "ElementSet":
         """The set {x + g : x in self}."""
         grp = self.group
-        grp.check_element(g)
-        return ElementSet.from_elements(grp, (grp.add(x, g) for x in self.elements()))
+        return ElementSet(grp, map_bits(self.bits, index_table(grp).add[grp.element_index(g)]))
 
     def negate(self) -> "ElementSet":
         """The set {-x : x in self}."""
-        grp = self.group
-        return ElementSet.from_elements(grp, (grp.neg(x) for x in self.elements()))
+        return ElementSet(self.group, map_bits(self.bits, index_table(self.group).neg))
 
     def image_under(self, mapping) -> "ElementSet":
         """Image under an element map (e.g. unit scaling, a projection)."""

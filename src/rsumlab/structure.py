@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .engine import _index_tables, generalized_restricted_sumset, sumset
-from .groups import Element, GroupSpec
+from .engine import generalized_restricted_sumset, sumset
+from .groups import Element, GroupSpec, index_table, map_bits
 from .sets import ElementSet, _require_same_group
 from .subgroups import Subgroup, prime_order_subgroups
 
@@ -87,9 +87,10 @@ def stabilizer(x: ElementSet) -> Subgroup:
     g = x.group
     if not x.bits:
         raise ValueError("stabilizer of the empty set is undefined here")
+    add = index_table(g).add
     bits = 0
-    for i, e in enumerate(g.elements()):
-        if x.translate(e).bits == x.bits:
+    for i in range(g.order):
+        if map_bits(x.bits, add[i]) == x.bits:
             bits |= 1 << i
     members = ElementSet(g, bits)
     return Subgroup(group=g, members=members, order=members.size)
@@ -294,16 +295,18 @@ def sdr_select(inst: SdrInstance) -> SdrSolution:
     by_id = {v: idx for idx, v in sum_ids.items()}
     pairs: list[tuple[int, int]] = []
     sbits = inst.s.bits
+    t = index_table(g)
+    b_idx = [g.element_index(e) for e in inst.b]
     for pos, matched in zip(positions, match_left):
         target = by_id[matched]  # type: ignore[index]
         found = None
         for i in sdr_index_window(inst, pos):
-            ae = inst.a[i - 1]
-            for j, be in enumerate(inst.b, start=1):
-                if g.element_index(g.add(ae, be)) != target:
+            ai = g.element_index(inst.a[i - 1])
+            for j, bj in enumerate(b_idx, start=1):
+                if t.add[bj][ai] != target:
                     continue
                 if inst.variant is not SdrVariant.LEMMA32:
-                    if sbits >> g.element_index(g.sub(ae, be)) & 1:
+                    if sbits >> t.add[t.neg[bj]][ai] & 1:
                         continue
                 found = (i, j)
                 break
@@ -364,18 +367,12 @@ def _progression_differences_cached(g: GroupSpec, bits: int) -> tuple[int, ...]:
     k = bits.bit_count()
     if k == 1:
         return tuple(range(1, n))
-    tables = _index_tables(g)
+    t = index_table(g)
     start = (bits & -bits).bit_length() - 1
-    out = []
-    for qi in range(1, n):
-        if tables is not None:
-            add, neg = tables
-            ok = _walk_is_progression(g, bits, k, start, add[qi], add[neg[qi]], qi)
-        else:
-            ok = _is_progression_with(ElementSet(g, bits), g.index_element(qi))
-        if ok:
-            out.append(qi)
-    return tuple(out)
+    return tuple(
+        qi for qi in range(1, n)
+        if _walk_is_progression(g, bits, k, start, t.add[qi], t.add[t.neg[qi]], qi)
+    )
 
 
 def _walk_is_progression(g, bits, k, start, fwd, back, qi) -> bool:
@@ -398,31 +395,6 @@ def _walk_is_progression(g, bits, k, start, fwd, back, qi) -> bool:
             return False
         run += 1
     return True
-
-
-def _is_progression_with(s: ElementSet, q: Element) -> bool:
-    g = s.group
-    k = s.size
-    if k == 1:
-        return True
-    x = g.index_element(s.min_index())
-    steps = 0
-    while True:
-        prev = g.sub(x, q)
-        if prev not in s:
-            break
-        x = prev
-        steps += 1
-        if steps > k:
-            return k == g.element_order(q)
-    run = 1
-    y = x
-    while run < k:
-        y = g.add(y, q)
-        if y not in s:
-            break
-        run += 1
-    return run == k
 
 
 def classify_critical_pair(a: ElementSet, b: ElementSet) -> list[StructureClass]:
@@ -515,8 +487,5 @@ def fiber_spread_check(a: ElementSet, k1: Subgroup, k2: Subgroup) -> FiberSpread
 
 
 def _coset_count(a: ElementSet, k: Subgroup) -> int:
-    g = a.group
-    seen: set[int] = set()
-    for x in a.elements():
-        seen.add(k.members.translate(x).min_index())
-    return len(seen)
+    add = index_table(a.group).add
+    return len({map_bits(k.members.bits, add[i]) for i in a.indices()})

@@ -1,18 +1,16 @@
-"""Subgroup enumeration, coset machinery, and concrete quotient groups.
+"""Subgroup enumeration and membership.
 
 Subgroup enumeration closes the cyclic subgroups under pairwise joins, which
 is exact because every subgroup of a finite abelian group is a join of cyclic
 ones.  That is only feasible at desk scale, so a configured order ceiling
-rejects larger groups.  Quotients are realized concretely: a Smith normal
-form with a tracked left transform turns G/H into an explicit cyclic-factor
-group plus a projection homomorphism.
+rejects larger groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import Element, GroupError, GroupSpec, is_prime, make_group
+from .groups import Element, GroupError, GroupSpec, index_table, is_prime, map_bits
 from .sets import ElementSet
 
 SUBGROUP_ENUM_CEILING = 64
@@ -54,31 +52,21 @@ def is_subgroup_set(s: ElementSet) -> bool:
     """
     if not s.contains_index(0):
         return False
-    g = s.group
-    bits = s.bits
-    for x in s.elements():
-        if _translate_bits(g, bits, x) != bits:
-            return False
-    return True
-
-
-def _translate_bits(g: GroupSpec, bits: int, shift: Element) -> int:
-    out = 0
-    b = bits
-    while b:
-        low = b & -b
-        i = low.bit_length() - 1
-        b ^= low
-        out |= 1 << g.element_index(g.add(g.index_element(i), shift))
-    return out
+    add = index_table(s.group).add
+    return all(map_bits(s.bits, add[i]) == s.bits for i in s.indices())
 
 
 def cyclic_subgroup_bits(g: GroupSpec, x: Element) -> int:
+    return _cyclic_bits(index_table(g).add[g.element_index(x)])
+
+
+def _cyclic_bits(row) -> int:
+    """Bitmap of the subgroup generated by x, given x's add row."""
     bits = 1
-    y = x
-    while g.element_index(y) != 0:
-        bits |= 1 << g.element_index(y)
-        y = g.add(y, x)
+    y = row[0]
+    while y:
+        bits |= 1 << y
+        y = row[y]
     return bits
 
 
@@ -93,39 +81,22 @@ def all_subgroups(g: GroupSpec, max_order: int = SUBGROUP_ENUM_CEILING) -> list[
         raise GroupError(
             f"subgroup enumeration ceiling is {max_order}; group has order {g.order}"
         )
-    n = g.order
-    els = [g.index_element(i) for i in range(n)]
-    add_idx = [[g.element_index(g.add(a, b)) for b in els] for a in els]
-
-    def translate(bits: int, xi: int) -> int:
-        row = add_idx[xi]
-        out = 0
-        while bits:
-            low = bits & -bits
-            out |= 1 << row[low.bit_length() - 1]
-            bits ^= low
-        return out
-
-    cyclics: dict[int, int] = {}  # cyclic subgroup bits -> one generator index
-    for xi in range(1, n):
-        bits = 1
-        yi = xi
-        while yi != 0:
-            bits |= 1 << yi
-            yi = add_idx[yi][xi]
-        cyclics.setdefault(bits, xi)
+    add = index_table(g).add
+    cyclics: dict[int, list[int]] = {}  # cyclic subgroup bits -> its add rows
+    for xi in range(1, g.order):
+        cbits = _cyclic_bits(add[xi])
+        if cbits not in cyclics:
+            cyclics[cbits] = [add[yi] for yi in ElementSet(g, cbits).indices()]
     known: set[int] = {1}
     frontier = [1]
     while frontier:
         h = frontier.pop()
-        for cbits, xi in cyclics.items():
+        for cbits, rows in cyclics.items():
             if cbits & ~h == 0:
                 continue
             joined = h
-            yi = xi
-            while yi != 0:
-                joined |= translate(h, yi)
-                yi = add_idx[yi][xi]
+            for row in rows:
+                joined |= map_bits(h, row)
             if joined not in known:
                 known.add(joined)
                 frontier.append(joined)
@@ -133,12 +104,6 @@ def all_subgroups(g: GroupSpec, max_order: int = SUBGROUP_ENUM_CEILING) -> list[
         Subgroup(group=g, members=ElementSet(g, bits), order=bits.bit_count())
         for bits in sorted(known)
     ]
-
-
-def prime_index_subgroups(g: GroupSpec, max_order: int = SUBGROUP_ENUM_CEILING) -> list[Subgroup]:
-    """All subgroups H with [G:H] = p(G), sorted by member bitmap."""
-    target = g.order // g.least_prime
-    return [h for h in all_subgroups(g, max_order=max_order) if h.order == target]
 
 
 def prime_order_subgroups(g: GroupSpec) -> list[Subgroup]:
@@ -155,144 +120,3 @@ def prime_order_subgroups(g: GroupSpec) -> list[Subgroup]:
         Subgroup(group=g, members=ElementSet(g, bits), order=bits.bit_count())
         for bits in sorted(seen)
     ]
-
-
-# -- quotients ----------------------------------------------------------------
-
-
-def _smith_with_left_transform(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Diagonalize an integer matrix, returning (diagonal, U) with U*M*V = D.
-
-    Row operations are mirrored on U; column operations touch only the work
-    matrix.  The diagonal satisfies d_i | d_{i+1} and d_i >= 0.
-    """
-    a = [row[:] for row in matrix]
-    k = len(a)
-    c = len(a[0]) if k else 0
-    u = [[int(i == j) for j in range(k)] for i in range(k)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def add_row(dst, src, q):
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(k, c):
-        # locate smallest non-zero pivot in the trailing block
-        pivot = None
-        for i in range(t, k):
-            for j in range(t, c):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = False
-        for i in range(t + 1, k):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                add_row(i, t, -q)
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, c):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                add_col(j, t, -q)
-                if a[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # enforce divisibility of the remaining block by the pivot
-        offender = None
-        for i in range(t + 1, k):
-            for j in range(t + 1, c):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    diag = [a[i][i] if i < c else 0 for i in range(k)]
-    return diag, u
-
-
-class Quotient:
-    """A concrete quotient G/H: a GroupSpec plus the projection homomorphism.
-
-    The quotient's cyclic factors come from the Smith normal form of the
-    relation lattice (the factor moduli plus lifts of H's members), and the
-    tracked transform gives the projection, whose kernel is exactly H.
-    Coset representatives (minimal element index per coset) are built lazily.
-    """
-
-    def __init__(self, base: GroupSpec, subgroup: Subgroup):
-        if subgroup.group != base:
-            raise GroupError("subgroup belongs to a different group")
-        if not is_subgroup_set(subgroup.members):
-            raise GroupError("quotient needs a genuine subgroup (not closed)")
-        if subgroup.order == base.order:
-            raise GroupError("quotient by the whole group is trivial; GroupSpec needs order >= 2")
-        self.base = base
-        self.subgroup = subgroup
-        k = len(base.factors)
-        cols: list[list[int]] = [
-            [base.factors[i] if j == i else 0 for j in range(k)] for i in range(k)
-        ]
-        for e in subgroup.members.elements():
-            cols.append(list(e))
-        matrix = [[col[i] for col in cols] for i in range(k)]
-        diag, u = _smith_with_left_transform(matrix)
-        kept = [(i, d) for i, d in enumerate(diag) if d > 1]
-        self._rows = tuple(tuple(u[i]) for i, _ in kept)
-        self._moduli = tuple(d for _, d in kept)
-        self.group = make_group(self._moduli)
-        if self.group.order * subgroup.order != base.order:
-            raise AssertionError("quotient structure does not match the subgroup index")
-        self._reps: list[int] | None = None
-
-    def project(self, e: Element) -> Element:
-        """The projection homomorphism G -> G/H (kernel exactly H)."""
-        self.base.check_element(e)
-        return tuple(
-            sum(r * c for r, c in zip(row, e)) % d for row, d in zip(self._rows, self._moduli)
-        )
-
-    def project_index(self, i: int) -> int:
-        return self.group.element_index(self.project(self.base.index_element(i)))
-
-    def coset_reps(self) -> list[int]:
-        """For each quotient index, the minimal base element index in the coset."""
-        if self._reps is None:
-            reps = [-1] * self.group.order
-            for i in range(self.base.order):
-                q = self.project_index(i)
-                if reps[q] < 0:
-                    reps[q] = i
-            self._reps = reps
-        return self._reps
-
-    def coset_rep(self, q: Element) -> Element:
-        return self.base.index_element(self.coset_reps()[self.group.element_index(q)])
-
-
-def quotient(g: GroupSpec, h: Subgroup) -> Quotient:
-    """The quotient G/H with an explicit GroupSpec and projection."""
-    return Quotient(g, h)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from rsumlab import bounds
 from rsumlab.cli import main
 
 
@@ -139,6 +140,65 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert json.loads(out)["violation_count"] == 0
+
+
+class TestThreadsAlone:
+    @pytest.mark.parametrize("command", [
+        ("verify", "--group", "Z7", "--bound", "pansun", "--max-s", "1", "--format", "json"),
+        ("search", "--group", "Z5", "--bound", "anr", "--mode", "counterexample",
+         "--format", "json"),
+    ])
+    def test_threads_shard_the_sweep(self, capsys, monkeypatch, command):
+        # without --shards, the sweep is split into one shard per thread
+        shard_counts = []
+        run_sweep = bounds._run_sweep
+
+        def spy(plan, cfg, shard_count, threads, planned):
+            shard_counts.append((shard_count, threads))
+            return run_sweep(plan, cfg, shard_count, threads, planned)
+
+        monkeypatch.setattr(bounds, "_run_sweep", spy)
+        outputs = []
+        for threads in ("1", "2"):
+            _, out, _ = run_cli(capsys, *command, "--no-timing", "--threads", threads)
+            outputs.append(out)
+        assert shard_counts == [(1, 1), (2, 2)]
+        assert outputs[0] == outputs[1]
+        assert outputs[0]
+
+
+class TestCsvRows:
+    # the exact bytes the CLI wrote before verify and search shared a writer
+    @pytest.mark.parametrize("argv,expected", [
+        (("verify", "--group", "Z5", "--bound", "twisted", "--max-s", "1", "--gamma", "2",
+          "--max-witnesses", "3"),
+         'group,kind,A,B,S,gamma,lhs,rhs,tight\n'
+         'Z5,twisted,"{0,1}","{0,1,2,3}","{0}",2,3,3,true\n'
+         'Z5,twisted,"{0,1}","{0,1,2,4}","{2}",2,3,3,true\n'
+         'Z5,twisted,"{0,1}","{0,1,3,4}","{4}",2,3,3,true\n'),
+        (("verify", "--group", "Z2xZ4", "--bound", "thm1", "--max-s", "1",
+          "--max-witnesses", "2"),
+         'group,kind,A,B,S,gamma,lhs,rhs,tight\n'
+         'Z2xZ4,thm1,"{(0,0),(0,1)}","{(0,0),(0,1)}","{(0,0)}",,1,1,true\n'
+         'Z2xZ4,thm1,"{(0,0),(0,1)}","{(0,1),(0,2)}","{(0,3)}",,1,1,true\n'),
+        (("search", "--group", "Z5", "--bound", "anr", "--mode", "counterexample",
+          "--max-witnesses", "3"),
+         'group,kind,A,B,S,gamma,lhs,rhs,tight\n'
+         'Z5,anr,"{0,1}","{0,1}","{}",,1,2,false\n'
+         'Z5,anr,"{0,2}","{0,2}","{}",,1,2,false\n'
+         'Z5,anr,"{1,2}","{1,2}","{}",,1,2,false\n'),
+        (("search", "--group", "Z7", "--bound", "twisted", "--mode", "tight", "--gamma", "3",
+          "--max-s", "1", "--max-witnesses", "2"),
+         'group,kind,A,B,S,gamma,lhs,rhs,tight\n'
+         'Z7,twisted,"{0,1}","{0,1,2,3,4,5}","{0}",3,5,5,true\n'
+         'Z7,twisted,"{0,1}","{0,1,2,3,4,6}","{3}",3,5,5,true\n'),
+        (("search", "--group", "Z7", "--bound", "thm1", "--mode", "counterexample",
+          "--max-s", "1"),
+         'group,kind,A,B,S,gamma,lhs,rhs,tight\n'),
+    ])
+    def test_rows_byte_identical(self, capsys, argv, expected):
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert out == expected
 
 
 class TestNonsenseCounts:

@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import rsumlab as rl
 from rsumlab import _masks
-from conftest import oracle_sumset, set_of
+from conftest import (
+    o_add, o_index, o_map_bits, o_neg, o_perm, o_sub, oracle_sumset, perm_mask_table,
+    set_of, translate_perm,
+)
 
 
 def S(g, text):
@@ -180,7 +183,7 @@ def test_batched_cmasks_match_per_mask_and_element_loop(name, sbits, gamma):
 
 
 def _size_table(t, abits, sbits, gamma=1):
-    return t.pops[t.union_table(t.cmasks_general(abits, sbits, gamma))]
+    return t.pops[_masks.union_table(t.cmasks_general(abits, sbits, gamma), t.n)]
 
 
 @pytest.mark.parametrize("name", [
@@ -196,17 +199,18 @@ def test_duality_exhaustive_orders_up_to_12(name):
     g = rl.parse_group(name)
     t = _masks.tables_for(g)
     n = g.order
-    neg_table = t.neg_mask_table()
+    neg_perm = o_perm(g.factors, lambda e: o_neg(g.factors, e))
+    neg_table = perm_mask_table(neg_perm)
     s_masks = [0] + [m for k in (1, 2) for m in _all_masks(n, k)]
     s_pos = {m: i for i, m in enumerate(s_masks)}
-    neg_rows = np.array([s_pos[t.negate_bits(m)] for m in s_masks])
+    neg_rows = np.array([s_pos[o_map_bits(m, neg_perm)] for m in s_masks])
 
     def batch_tables(abits):
         c = np.stack([t.cmasks_general(abits, sbits) for sbits in s_masks])
         return t.pops[_masks.union_table_batch(c, n)]
 
     for abits in range(1, 1 << n):
-        neg_abits = t.negate_bits(abits)
+        neg_abits = o_map_bits(abits, neg_perm)
         if neg_abits < abits:
             continue  # the identity pairs (A,S,B) with (-A,-S,-B); check once
         lhs = batch_tables(abits)
@@ -254,21 +258,24 @@ def test_translation_invariance_exhaustive_order_up_to_8(name):
     g = rl.parse_group(name)
     t = _masks.tables_for(g)
     n = g.order
+    f = g.factors
+    els = list(g.elements())
     s_masks = [0] + [m for k in (1, 2) for m in _all_masks(n, k)]
-    tr_tables = [t.translate_mask_table(i) for i in range(n)]
+    tr_perms = [translate_perm(f, e) for e in els]
+    tr_tables = [perm_mask_table(perm) for perm in tr_perms]
     full_grid = n <= 5
     pairs = [(gi, 0) for gi in range(n)] + [(0, hi) for hi in range(1, n)]
     if full_grid:
         pairs = [(gi, hi) for gi in range(n) for hi in range(n)]
     for abits in range(1, 1 << n):
         for sbits in s_masks:
-            base = t.union_table(t.cmasks_general(abits, sbits))
+            base = _masks.union_table(t.cmasks_general(abits, sbits), n)
             for gi, hi in pairs:
-                ga = t.translate_bits(abits, gi)
-                shift = int(t.add[gi, t.neg[hi]])
-                ss = t.translate_bits(sbits, shift)
-                shifted = t.union_table(t.cmasks_general(ga, ss))
-                ghsum = int(t.add[gi, hi])
+                ga = o_map_bits(abits, tr_perms[gi])
+                shift = o_index(f, o_sub(f, els[gi], els[hi]))
+                ss = o_map_bits(sbits, tr_perms[shift])
+                shifted = _masks.union_table(t.cmasks_general(ga, ss), n)
+                ghsum = o_index(f, o_add(f, els[gi], els[hi]))
                 assert np.array_equal(
                     shifted[tr_tables[hi]], tr_tables[ghsum][base]
                 ), (name, abits, sbits, gi, hi)
@@ -314,7 +321,7 @@ def test_unit_scaling_equivariance(n):
     s_masks = [0] + [1 << i for i in range(n)]
     for u in units:
         perm = np.array([(u * i) % n for i in range(n)], dtype=np.int64)
-        scale_table = t.mask_perm_table(perm, key=("scale", u))
+        scale_table = perm_mask_table(perm)
         for abits in range(1, 1 << n):
             ua = int(scale_table[abits])
             for sbits in s_masks:

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import rsumlab as rl
-from conftest import o_elements, oracle_least_prime
+from rsumlab.groups import INDEX_TABLE_LIMIT, index_table
+from conftest import (
+    GROUP_MATRIX, o_add, o_elements, o_index, o_neg, o_scale, oracle_is_subgroup,
+    oracle_least_prime, oracle_progression_differences, oracle_sumset, set_of,
+)
 
 
 class TestMakeGroup:
@@ -138,3 +143,77 @@ def test_index_bijection_property(factors):
     g = rl.make_group(factors)
     seen = {g.element_index(e) for e in g.elements()}
     assert seen == set(range(g.order))
+
+
+# Z521 and Z2xZ263 lie above the table limit, so their lookups take the
+# digit-arithmetic path; Z521 is prime, so the twisted sumset runs there too.
+@pytest.mark.parametrize("name", GROUP_MATRIX + ["Z521", "Z2xZ263"])
+def test_index_table_matches_tuple_arithmetic(name):
+    g = rl.parse_group(name)
+    f = g.factors
+    assert (g.order > INDEX_TABLE_LIMIT) == (name in ("Z521", "Z2xZ263"))
+    els = o_elements(f)
+    t = index_table(g)
+    rng = np.random.default_rng(g.order)
+
+    def rand_set(lo, hi):
+        size = int(rng.integers(lo, min(hi, g.order) + 1))
+        return [els[int(i)] for i in rng.choice(g.order, size, replace=False)]
+
+    for _ in range(300):
+        i, j, u = (int(x) for x in rng.integers(g.order, size=3))
+        assert t.add[j][i] == o_index(f, o_add(f, els[i], els[j]))
+        assert t.neg[i] == o_index(f, o_neg(f, els[i]))
+        assert t.scaled(u - g.order)[i] == o_index(f, o_scale(f, u, els[i]))
+    gammas = [gm for gm in (2, 3) if gm % g.order] if g.is_prime_cyclic else []
+    for _ in range(40):
+        x, shift = rand_set(1, 6), els[int(rng.integers(g.order))]
+        xs = rl.ElementSet.from_elements(g, x)
+        assert set_of(xs.translate(shift)) == {o_add(f, e, shift) for e in x}
+        assert set_of(xs.negate()) == {o_neg(f, e) for e in x}
+        assert rl.progression_differences(xs) == oracle_progression_differences(f, x)
+        a, b, s = rand_set(1, 6), rand_set(1, 6), rand_set(0, 3)
+        sa, sb, ss = (rl.ElementSet.from_elements(g, e) for e in (a, b, s))
+        got = rl.generalized_restricted_sumset(sa, sb, ss)
+        assert set_of(got) == oracle_sumset(f, a, b, s)
+        for gamma in gammas:
+            got = rl.twisted_restricted_sumset(sa, sb, ss, gamma)
+            assert set_of(got) == oracle_sumset(f, a, b, s, gamma)
+    # an arithmetic progression, a coset of a small cyclic subgroup, subgroups
+    q = els[int(rng.integers(1, g.order))]
+    prog = [els[0]]
+    for _ in range(min(5, g.order - 1)):
+        prog.append(o_add(f, prog[-1], q))
+    step = next(e for e in els if len(_multiples(f, e)) == g.least_prime)
+    coset = [o_add(f, q, y) for y in _multiples(f, step)]
+    for x in (prog, coset, _multiples(f, q), _multiples(f, step), [els[0]], els):
+        xs = rl.ElementSet.from_elements(g, x)
+        assert rl.progression_differences(xs) == oracle_progression_differences(f, x)
+        assert rl.is_subgroup_set(xs) == oracle_is_subgroup(f, x)
+    for _ in range(20):
+        x = rand_set(1, 6)
+        xs = rl.ElementSet.from_elements(g, x)
+        assert rl.is_subgroup_set(xs) == oracle_is_subgroup(f, x)
+
+
+def _multiples(f, q):
+    out = [tuple(0 for _ in f)]
+    while (nxt := o_add(f, out[-1], q)) != out[0]:
+        out.append(nxt)
+    return out
+
+
+def test_index_table_array_matches_lists():
+    for name in GROUP_MATRIX:
+        t = index_table(rl.parse_group(name))
+        arr = t.add_array()
+        assert arr.dtype == np.int64 and arr.shape == (t.order, t.order)
+        assert arr.tolist() == t.add
+
+
+def test_translate_rejects_malformed_shift():
+    g = rl.parse_group("Z2xZ4")
+    x = rl.parse_set(g, "{(0,0),(1,3)}")
+    for bad in ((1,), (2, 0), (0, 4), (0, -1)):
+        with pytest.raises(rl.GroupError):
+            x.translate(bad)
