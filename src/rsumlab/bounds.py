@@ -1,12 +1,12 @@
 """Bound catalog, single-triple checks, exhaustive sweeps, witness search.
 
 Every bound has the shape  lhs >= min(linear(|A|, |B|, |S|), p(G))  for one
-of the four operators, so the catalog is a table of coefficients plus an
-applicability predicate per kind.  Exhaustive sweeps take a chunk of
-same-size A masks and one S and evaluate all B at once through the mask
-tables in ``_masks``; a scalar fallback walks the triple stream one check at
-a time and is kept bit-for-bit consistent with the vectorized path (tests
-compare the two).
+of the four operators, so the catalog is one table of coefficients and
+hypotheses per kind, and one rule reads the hypotheses for both paths.
+Exhaustive sweeps take a chunk of same-size A masks and one S and evaluate
+all B at once through the mask tables in ``_masks``; a scalar fallback walks
+the triple stream one check at a time and is kept bit-for-bit consistent
+with the vectorized path (tests compare the two).
 
 Sweeps shard over the position of A in the enumeration stream.  Merging is
 order-independent: counters add up and witness lists are re-sorted by a
@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import json
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -85,68 +86,59 @@ class BoundKind(Enum):
 
 @dataclass(frozen=True)
 class _KindInfo:
-    """rhs = min(ca*|A| + cb*|B| + ch*|S| + c0, p(G)) plus applicability data."""
+    """rhs = min(ca*|A| + cb*|B| + ch*|S| + c0, p(G)), and the bound's hypotheses.
+
+    ``_failed_hypothesis`` tests the hypothesis fields in order; the twisted
+    operator adds gamma not in {0, -1} just before the size floor.
+    """
 
     operator: Operator
     ca: int
     cb: int
     ch: int
     c0: int
-    needs_s: bool = False
+    group_shape: str = ""  # a GroupSpec predicate that must hold, a key of _GROUP_SHAPES
     equal_sets: bool = False  # bound is about A (+) A
-    description: str = ""
+    distinct_sizes: bool = False  # needs |A| != |B|
+    needs_s: bool = False
+    s_below_p: bool = False  # needs |S| < p
+    size_floor: tuple[str, Callable[[int], int]] | None = None  # min(|A|,|B|) >= f(|S|)
 
+
+_GROUP_SHAPES = {
+    "is_prime_cyclic": "group not prime cyclic",
+    "is_cyclic_prime_power": "group not a cyclic prime power",
+}
 
 _KIND_INFO = {
     BoundKind.CAUCHY_DAVENPORT: _KindInfo(
-        Operator.PLAIN, 1, 1, 0, -1, description="|A+B| >= min(|A|+|B|-1, p) on Z_p"
-    ),
-    BoundKind.KNESER_CD: _KindInfo(
-        Operator.PLAIN, 1, 1, 0, -1, description="|A+B| >= min(|A|+|B|-1, p(G))"
-    ),
+        Operator.PLAIN, 1, 1, 0, -1, group_shape="is_prime_cyclic"),
+    BoundKind.KNESER_CD: _KindInfo(Operator.PLAIN, 1, 1, 0, -1),
     BoundKind.ERDOS_HEILBRONN: _KindInfo(
-        Operator.RESTRICTED, 2, 0, 0, -3, equal_sets=True,
-        description="|A(+)A| >= min(2|A|-3, p) on Z_p",
-    ),
+        Operator.RESTRICTED, 2, 0, 0, -3, group_shape="is_prime_cyclic", equal_sets=True),
     BoundKind.ANR: _KindInfo(
-        Operator.RESTRICTED, 1, 1, 0, -2,
-        description="|A(+)B| >= min(|A|+|B|-2, p) on Z_p when |A| != |B|",
-    ),
-    BoundKind.KAROLYI: _KindInfo(
-        Operator.RESTRICTED, 2, 0, 0, -3, equal_sets=True,
-        description="|A(+)A| >= min(2|A|-3, p(G))",
-    ),
-    BoundKind.BALISTER_WHEELER: _KindInfo(
-        Operator.RESTRICTED, 1, 1, 0, -3,
-        description="|A(+)B| >= min(|A|+|B|-3, p(G))",
-    ),
+        Operator.RESTRICTED, 1, 1, 0, -2, group_shape="is_prime_cyclic", distinct_sizes=True),
+    BoundKind.KAROLYI: _KindInfo(Operator.RESTRICTED, 2, 0, 0, -3, equal_sets=True),
+    BoundKind.BALISTER_WHEELER: _KindInfo(Operator.RESTRICTED, 1, 1, 0, -3),
     BoundKind.PAN_SUN: _KindInfo(
-        Operator.GENERAL, 1, 1, -1, -2, needs_s=True,
-        description="|A+_S B| >= min(|A|+|B|-|S|-2, p) on Z_p when |S| < p",
-    ),
-    BoundKind.THM1: _KindInfo(
-        Operator.GENERAL, 1, 1, -3, 0, needs_s=True,
-        description="|A+_S B| >= min(|A|+|B|-3|S|, p(G))",
-    ),
+        Operator.GENERAL, 1, 1, -1, -2, group_shape="is_prime_cyclic", needs_s=True,
+        s_below_p=True),
+    BoundKind.THM1: _KindInfo(Operator.GENERAL, 1, 1, -3, 0, needs_s=True),
     BoundKind.PRIME_POWER_S: _KindInfo(
-        Operator.GENERAL, 1, 1, -2, -1, needs_s=True,
-        description="|A+_S B| >= min(|A|+|B|-2|S|-1, p) on cyclic prime-power groups",
-    ),
+        Operator.GENERAL, 1, 1, -2, -1, group_shape="is_cyclic_prime_power", needs_s=True),
     BoundKind.THM2: _KindInfo(
         Operator.GENERAL, 1, 1, -1, -2, needs_s=True,
-        description="|A+_S B| >= min(|A|+|B|-|S|-2, p(G)) when min size >= 9|S|^2-5|S|-3",
-    ),
+        size_floor=("9|S|^2-5|S|-3", lambda h: 9 * h * h - 5 * h - 3)),
     BoundKind.PROP34: _KindInfo(
-        Operator.GENERAL, 1, 1, -1, -2, needs_s=True,
-        description="cyclic prime-power variant with size floor 6|S|^2-5",
-    ),
+        Operator.GENERAL, 1, 1, -1, -2, group_shape="is_cyclic_prime_power", needs_s=True,
+        size_floor=("6|S|^2-5", lambda h: 6 * h * h - 5)),
     BoundKind.TWISTED_PAN_SUN: _KindInfo(
-        Operator.TWISTED, 1, 1, -1, -2, needs_s=True,
-        description="|{a+b : a-gamma*b not in S}| >= min(|A|+|B|-|S|-2, p) on Z_p",
-    ),
+        Operator.TWISTED, 1, 1, -1, -2, group_shape="is_prime_cyclic", needs_s=True,
+        s_below_p=True),
 }
 
 ALL_KINDS = tuple(BoundKind)
+_KIND_POSITION = {kind: i for i, kind in enumerate(ALL_KINDS)}
 
 
 def kind_from_name(name: str) -> BoundKind:
@@ -157,18 +149,44 @@ def kind_from_name(name: str) -> BoundKind:
         raise ValueError(f"unknown bound kind {name!r}; expected one of: {valid}") from None
 
 
-def thm2_size_floor(h: int) -> int:
-    return 9 * h * h - 5 * h - 3
-
-
-def prop34_size_floor(h: int) -> int:
-    return 6 * h * h - 5
-
-
 def bound_value(kind: BoundKind, a_size: int, b_size: int, s_size: int, p: int) -> int:
     """The right-hand side min-expression; may be <= 0 (then trivially met)."""
     info = kind.info
     return min(info.ca * a_size + info.cb * b_size + info.ch * s_size + info.c0, p)
+
+
+def _failed_hypothesis(
+    kind: BoundKind, group: GroupSpec, a_size: int, b_size: int, s_size: int, gamma
+) -> str:
+    """The first hypothesis of ``kind`` that fails at these sizes; "" when all hold.
+
+    It sees sizes only, so for ``equal_sets`` kinds it tests |A| = |B|, not A = B.
+    """
+    info = kind.info
+    if info.group_shape and not getattr(group, info.group_shape):
+        return _GROUP_SHAPES[info.group_shape]
+    if info.equal_sets and a_size != b_size:
+        return "A != B"
+    if info.distinct_sizes and a_size == b_size:
+        return "|A| = |B|"
+    if info.needs_s and s_size == 0:
+        return "S is empty"
+    p = group.least_prime
+    if info.s_below_p and s_size >= p:
+        return f"|S| = {s_size} not < p = {p}"
+    if info.operator is Operator.TWISTED:
+        if gamma is None:
+            return "gamma missing"
+        if gamma % group.order == 0:
+            return "gamma = 0 excluded"
+        if gamma % group.order == group.order - 1:
+            return "gamma = -1 excluded"
+    if info.size_floor is not None:
+        text, floor = info.size_floor
+        low = min(a_size, b_size)
+        if low < floor(s_size):
+            return f"min(|A|,|B|) = {low} < {text} = {floor(s_size)}"
+    return ""
 
 
 def applicability(
@@ -183,42 +201,10 @@ def applicability(
 
     The reason string names the first failed hypothesis ("" when applicable).
     """
-    info = kind.info
-    p = group.least_prime
-    if kind in (
-        BoundKind.CAUCHY_DAVENPORT,
-        BoundKind.ERDOS_HEILBRONN,
-        BoundKind.ANR,
-        BoundKind.PAN_SUN,
-        BoundKind.TWISTED_PAN_SUN,
-    ) and not group.is_prime_cyclic:
-        return False, "group not prime cyclic"
-    if kind in (BoundKind.PRIME_POWER_S, BoundKind.PROP34) and not group.is_cyclic_prime_power:
-        return False, "group not a cyclic prime power"
-    if info.equal_sets and a != b:
-        return False, "A != B"
-    if kind is BoundKind.ANR and a.size == b.size:
-        return False, "|A| = |B|"
-    if info.needs_s and s.size == 0:
-        return False, "S is empty"
-    if kind in (BoundKind.PAN_SUN, BoundKind.TWISTED_PAN_SUN) and s.size >= p:
-        return False, f"|S| = {s.size} not < p = {p}"
-    if kind is BoundKind.TWISTED_PAN_SUN:
-        if gamma is None:
-            return False, "gamma missing"
-        if gamma % group.order == 0:
-            return False, "gamma = 0 excluded"
-        if gamma % group.order == group.order - 1:
-            return False, "gamma = -1 excluded"
-    if kind is BoundKind.THM2 and min(a.size, b.size) < thm2_size_floor(s.size):
-        return False, (
-            f"min(|A|,|B|) = {min(a.size, b.size)} < 9|S|^2-5|S|-3 = {thm2_size_floor(s.size)}"
-        )
-    if kind is BoundKind.PROP34 and min(a.size, b.size) < prop34_size_floor(s.size):
-        return False, (
-            f"min(|A|,|B|) = {min(a.size, b.size)} < 6|S|^2-5 = {prop34_size_floor(s.size)}"
-        )
-    return True, ""
+    reason = _failed_hypothesis(kind, group, a.size, b.size, s.size, gamma)
+    if not reason and kind.info.equal_sets and a != b:
+        reason = "A != B"
+    return not reason, reason
 
 
 def operator_lhs(
@@ -346,20 +332,12 @@ def _triple_key(order: int, amask: int, bmask: int, smask: int, kind: BoundKind,
     span = 1 << order
     code = 0 if gamma is None else (gamma % order) + 1
     key = ((amask * span + bmask) * span + smask)
-    return (key * len(ALL_KINDS) + list(ALL_KINDS).index(kind)) * (order + 2) + code
+    return (key * len(ALL_KINDS) + _KIND_POSITION[kind]) * (order + 2) + code
 
 
-def _kind_group_flags(kind: BoundKind, group: GroupSpec) -> tuple[bool, bool]:
-    """(operator defined on this group, group-level hypotheses hold)."""
-    if kind.operator is Operator.TWISTED:
-        defined = group.is_prime_cyclic
-        return defined, defined
-    if kind in (BoundKind.CAUCHY_DAVENPORT, BoundKind.ERDOS_HEILBRONN, BoundKind.ANR,
-                BoundKind.PAN_SUN):
-        return True, group.is_prime_cyclic
-    if kind in (BoundKind.PRIME_POWER_S, BoundKind.PROP34):
-        return True, group.is_cyclic_prime_power
-    return True, True
+def _kind_gammas(kind: BoundKind, cfg: _SweepConfig) -> tuple:
+    """The gammas a kind is checked at: the sweep's for twisted, (None,) otherwise."""
+    return cfg.gammas if kind.operator is Operator.TWISTED else (None,)
 
 
 def _min_lhs_floor(kind: BoundKind, m: int, b_min: int, h: int) -> int:
@@ -368,9 +346,7 @@ def _min_lhs_floor(kind: BoundKind, m: int, b_min: int, h: int) -> int:
 
 
 def _prunable(kind: BoundKind, m: int, h: int, plan: EnumerationPlan, p: int) -> bool:
-    info = kind.info
-    rhs_max = min(info.ca * m + info.cb * plan.b_max + info.ch * h + info.c0, p)
-    return _min_lhs_floor(kind, m, plan.b_min, h) >= rhs_max
+    return _min_lhs_floor(kind, m, plan.b_min, h) >= bound_value(kind, m, plan.b_max, h, p)
 
 
 @dataclass
@@ -381,11 +357,20 @@ class _ShardResult:
     pruned: int = 0  # checks skipped because their (|A|, |S|) class was pruned
 
 
-def _estimate_checks(plan: EnumerationPlan, cfg: _SweepConfig) -> int:
-    mult = 0
-    for kind in cfg.kinds:
-        mult += len(cfg.gammas) if kind.operator is Operator.TWISTED else 1
-    return plan.count_triples() * mult
+def _planned_checks(plan: EnumerationPlan, cfg: _SweepConfig, work_ceiling: int) -> int:
+    """The sweep's (A, B, S, kind, gamma) check count, which must be in [1, work_ceiling]."""
+    checks = plan.count_triples() * sum(len(_kind_gammas(k, cfg)) for k in cfg.kinds)
+    if checks == 0:
+        # only twisted kinds can contribute no checks: they have no gammas off Z_p
+        raise ValueError(
+            f"no checks planned: the twisted bound needs a prime cyclic group, "
+            f"got {format_group(plan.group)}"
+        )
+    if checks > work_ceiling:
+        raise WorkCeilingExceeded(
+            f"planned {checks} checks exceed the work ceiling {work_ceiling}"
+        )
+    return checks
 
 
 def _shard_worker(args) -> _ShardResult:
@@ -405,24 +390,23 @@ def _scalar_shard(
 ) -> _ShardResult:
     g = plan.group
     res = _ShardResult(_TopK(cfg.max_witnesses), _TopK(cfg.max_witnesses))
+    collect_tight = cfg.collect_tight and not cfg.ignore_applicability
     for a, b, s in enumerate_triples(plan, shard_index, shard_count):
         for kind in cfg.kinds:
-            defined, _ = _kind_group_flags(kind, g)
-            if not defined:
-                continue
-            gammas = cfg.gammas if kind.operator is Operator.TWISTED else (None,)
-            for gamma in gammas:
+            for gamma in _kind_gammas(kind, cfg):
                 rep = check_triple(g, a, b, s, kind, gamma)
                 res.evaluated += 1
+                violated = cfg.collect_violations and (
+                    rep.lhs < rep.rhs if cfg.ignore_applicability else not rep.satisfied
+                )
+                tight = collect_tight and rep.tight
+                if not (violated or tight):
+                    continue
                 key = _triple_key(g.order, a.bits, b.bits, s.bits, kind, gamma)
                 payload = (a.bits, b.bits, s.bits, kind.value, gamma, rep.lhs, rep.rhs)
-                if cfg.ignore_applicability:
-                    if cfg.collect_violations and rep.lhs < rep.rhs:
-                        res.violations.record(key, payload)
-                    continue
-                if cfg.collect_violations and not rep.satisfied:
+                if violated:
                     res.violations.record(key, payload)
-                if cfg.collect_tight and rep.tight:
+                if tight:
                     res.tight.record(key, payload)
     return res
 
@@ -456,7 +440,7 @@ def _a_chunks(plan: EnumerationPlan, shard_index: int, shard_count: int, rows: i
         yield size, chunk
 
 
-def _size_class(plan, cfg, kinds, m, h, sizes, in_b_range):
+def _size_class(plan, cfg, m, h, sizes, in_b_range):
     """Per-(|A|, |S|) work: the (kind, gamma, rhs) checks to run, and the number pruned.
 
     ``rhs`` is an int8 vector over B that is -1 wherever B is outside the plan
@@ -466,20 +450,18 @@ def _size_class(plan, cfg, kinds, m, h, sizes, in_b_range):
     p = g.least_prime
     active = []
     pruned = 0
-    for kind in kinds:
-        gammas = cfg.gammas if kind.operator is Operator.TWISTED else (None,)
+    for kind in cfg.kinds:
+        gammas = _kind_gammas(kind, cfg)
         if cfg.prune and _prunable(kind, m, h, plan, p):
             pruned += len(gammas)
             continue
-        info = kind.info
-        rhs = np.maximum(
-            np.minimum(info.ca * m + info.cb * sizes + info.ch * h + info.c0, p), -1
-        )
+        by_size = [max(bound_value(kind, m, b, h, p), -1) for b in range(g.order + 1)]
+        rhs = np.array(by_size)[sizes]
         for gamma in gammas:
             if cfg.ignore_applicability:
                 app = in_b_range
             else:
-                ok, _ = _applicable_vector(kind, g, m, h, gamma, sizes)
+                ok = _applicable_vector(kind, g, m, h, gamma, sizes)
                 if ok is None:
                     continue
                 app = in_b_range & ok
@@ -533,8 +515,7 @@ def _vector_shard(
     in_b_range = (sizes >= plan.b_min) & (sizes <= plan.b_max)
     b_count = plan.b_count()
     res = _ShardResult(_TopK(cfg.max_witnesses), _TopK(cfg.max_witnesses))
-    kinds = [k for k in cfg.kinds if _kind_group_flags(k, g)[0]]
-    mult = sum(len(cfg.gammas) if k.operator is Operator.TWISTED else 1 for k in kinds)
+    mult = sum(len(_kind_gammas(k, cfg)) for k in cfg.kinds)
     s_by_size: dict[int, list[int]] = {}
     for smask in plan_s_masks(plan):
         s_by_size.setdefault(smask.bit_count(), []).append(smask)
@@ -552,7 +533,7 @@ def _vector_shard(
         s_free: dict[Operator, np.ndarray] = {}  # plain/restricted tables ignore S
         for h, s_list in s_by_size.items():
             if h not in classes:
-                classes[h] = _size_class(plan, cfg, kinds, m, h, sizes, in_b_range)
+                classes[h] = _size_class(plan, cfg, m, h, sizes, in_b_range)
             active, pruned = classes[h]
             pairs = len(chunk) * len(s_list) * b_count
             res.pruned += pairs * pruned
@@ -586,33 +567,13 @@ def _vector_shard(
 def _applicable_vector(kind, g, m, h, gamma, sizes):
     """Per-B applicability for |A| = m, |S| = h as a bool vector over B masks.
 
-    Returns (None, reason) when the kind does not apply to any B of the class.
-    For ``equal_sets`` kinds the vector only says |B| = |A|; the caller must
-    still restrict to B = A.
+    The hypothesis rule is evaluated once per |B| and read out through
+    ``sizes``, the popcount of every B mask.  None when no B applies.  For
+    ``equal_sets`` kinds the vector only says |B| = |A|; the caller must still
+    restrict to B = A.
     """
-    _, group_ok = _kind_group_flags(kind, g)
-    if not group_ok:
-        return None, "group hypothesis fails"
-    info = kind.info
-    if info.needs_s and h == 0:
-        return None, "S is empty"
-    if kind in (BoundKind.PAN_SUN, BoundKind.TWISTED_PAN_SUN) and h >= g.least_prime:
-        return None, "|S| >= p"
-    if kind is BoundKind.TWISTED_PAN_SUN:
-        gm = gamma % g.order
-        if gm == 0 or gm == g.order - 1:
-            return None, "gamma excluded"
-    if info.equal_sets:
-        return sizes == m, ""
-    if kind is BoundKind.ANR:
-        return sizes != m, ""
-    if kind is BoundKind.THM2:
-        floor = thm2_size_floor(h)
-        return (sizes >= floor) & np.bool_(m >= floor), ""
-    if kind is BoundKind.PROP34:
-        floor = prop34_size_floor(h)
-        return (sizes >= floor) & np.bool_(m >= floor), ""
-    return np.ones(1 << g.order, dtype=bool), ""
+    ok = np.array([not _failed_hypothesis(kind, g, m, b, h, gamma) for b in range(g.order + 1)])
+    return ok[sizes] if ok.any() else None
 
 
 # -- public sweep entry points ---------------------------------------------------
@@ -790,11 +751,7 @@ def exhaustive_verify(
         ignore_applicability=False, max_witnesses=max_witnesses, prune=prune,
         force_scalar=force_scalar,
     )
-    checks = _estimate_checks(plan, cfg)
-    if checks > work_ceiling:
-        raise WorkCeilingExceeded(
-            f"planned {checks} checks exceed the work ceiling {work_ceiling}"
-        )
+    checks = _planned_checks(plan, cfg, work_ceiling)
     start = time.perf_counter()
     violations, tight = _run_sweep(plan, cfg, shard_count, threads, checks)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
@@ -843,11 +800,7 @@ def search_witnesses(
         ignore_applicability=counterexample, max_witnesses=max_witnesses, prune=False,
         force_scalar=force_scalar,
     )
-    checks = _estimate_checks(plan, cfg)
-    if checks > work_ceiling:
-        raise WorkCeilingExceeded(
-            f"planned {checks} checks exceed the work ceiling {work_ceiling}"
-        )
+    checks = _planned_checks(plan, cfg, work_ceiling)
     violations, tight = _run_sweep(plan, cfg, shard_count, threads, checks)
     bucket = violations if counterexample else tight
     return [_payload_report(plan, p, counterexample) for p in bucket.sorted_payloads()]

@@ -226,18 +226,22 @@ def _check_hypotheses(inst: SdrInstance) -> None:
             raise HypothesisViolation(f"m + n - 1 = {m + n - 1} must be <= p(G) = {p}")
 
 
-def _admissible_sums(inst: SdrInstance, k: int, excluded_bits: int) -> int:
-    """Bitmap of candidate sums for position k, outside a_1 + B."""
+def _admissible_sums(
+    inst: SdrInstance, k: int, excluded_bits: int, a_idx: list[int], b_set: ElementSet
+) -> int:
+    """Bitmap of candidate sums for position k, outside a_1 + B.
+
+    ``a_idx`` holds the indices of a_1..a_m and ``b_set`` is B, both encoded once.
+    """
     g = inst.group
-    b_set = ElementSet.from_elements(g, inst.b)
     v = inst.variant
     if v is SdrVariant.LEMMA32:
-        return b_set.translate(inst.a[k - 1]).bits & ~excluded_bits
+        return map_bits(b_set.bits, index_table(g).add[a_idx[k - 1]]) & ~excluded_bits
     if v is SdrVariant.LEMMA22:
-        head = list(inst.a[: inst.h + 2]) + [inst.a[k + inst.h + 1]]
+        head = a_idx[: inst.h + 2] + [a_idx[k + inst.h + 1]]
     else:
-        head = list(inst.a[: 3 * inst.h]) + [inst.a[k + 3 * inst.h - 1]]
-    head_set = ElementSet.from_elements(g, head)
+        head = a_idx[: 3 * inst.h] + [a_idx[k + 3 * inst.h - 1]]
+    head_set = ElementSet.from_indices(g, head)
     return generalized_restricted_sumset(head_set, b_set, inst.s).bits & ~excluded_bits
 
 
@@ -273,12 +277,15 @@ def sdr_select(inst: SdrInstance) -> SdrSolution:
     _check_hypotheses(inst)
     g = inst.group
     count = _solution_length(inst)
-    b_set = ElementSet.from_elements(g, inst.b)
-    excluded = b_set.translate(inst.a[0]).bits
+    t = index_table(g)
+    a_idx = [g.element_index(e) for e in inst.a]
+    b_idx = [g.element_index(e) for e in inst.b]
+    b_set = ElementSet.from_indices(g, b_idx)
+    excluded = map_bits(b_set.bits, t.add[a_idx[0]])
     positions = list(range(2, inst.m + 1)) if inst.variant is SdrVariant.LEMMA32 else list(
         range(1, count + 1)
     )
-    candidate_bits = [_admissible_sums(inst, k, excluded) for k in positions]
+    candidate_bits = [_admissible_sums(inst, k, excluded, a_idx, b_set) for k in positions]
     sum_ids: dict[int, int] = {}
     for bits in candidate_bits:
         for idx in ElementSet(g, bits).indices():
@@ -295,13 +302,11 @@ def sdr_select(inst: SdrInstance) -> SdrSolution:
     by_id = {v: idx for idx, v in sum_ids.items()}
     pairs: list[tuple[int, int]] = []
     sbits = inst.s.bits
-    t = index_table(g)
-    b_idx = [g.element_index(e) for e in inst.b]
     for pos, matched in zip(positions, match_left):
         target = by_id[matched]  # type: ignore[index]
         found = None
         for i in sdr_index_window(inst, pos):
-            ai = g.element_index(inst.a[i - 1])
+            ai = a_idx[i - 1]
             for j, bj in enumerate(b_idx, start=1):
                 if t.add[bj][ai] != target:
                     continue
@@ -426,22 +431,22 @@ def classify_critical_pair(a: ElementSet, b: ElementSet) -> list[StructureClass]
         classes.append(
             ArithmeticPair(difference=g.index_element(qi), a_length=a.size, b_length=b.size)
         )
+    # A and B lie in cosets of K exactly when A - a0 and B - b0 lie in K
+    t = index_table(g)
+    a0, b0 = a.min_index(), b.min_index()
+    a_base = map_bits(a.bits, t.add[t.neg[a0]])
+    b_base = map_bits(b.bits, t.add[t.neg[b0]])
     for k in _prime_order_subgroups_cached(g):
         if k.order != g.least_prime:
             continue
-        a0 = g.index_element(a.min_index())
-        b0 = g.index_element(b.min_index())
-        if not a.translate(g.neg(a0)).is_subset(k.members):
+        kbits = k.members.bits
+        if a_base & ~kbits or b_base & ~kbits:
             continue
-        if not b.translate(g.neg(b0)).is_subset(k.members):
-            continue
-        a_coset = k.members.translate(a0)
-        b_coset = k.members.translate(b0)
         classes.append(
             CosetPair(
                 subgroup=k,
-                a_offset=g.index_element(a_coset.min_index()),
-                b_offset=g.index_element(b_coset.min_index()),
+                a_offset=g.index_element(ElementSet(g, map_bits(kbits, t.add[a0])).min_index()),
+                b_offset=g.index_element(ElementSet(g, map_bits(kbits, t.add[b0])).min_index()),
             )
         )
     if not classes:

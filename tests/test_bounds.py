@@ -35,7 +35,44 @@ class TestBoundValue:
         assert rl.bound_value(BoundKind.PRIME_POWER_S, 4, 4, 1, 2) == 2
 
 
+K = BoundKind
+
+# one passing and one failing triple per hypothesis field of the catalog:
+# kind, group, |A|, |B|, |S|, gamma, first failed hypothesis ("" = applicable)
+HYPOTHESIS_TABLE = [
+    (K.PAN_SUN, "Z7", 2, 3, 1, None, ""),
+    (K.PAN_SUN, "Z2xZ2", 1, 1, 1, None, "group not prime cyclic"),
+    (K.PRIME_POWER_S, "Z9", 2, 2, 1, None, ""),
+    (K.PRIME_POWER_S, "Z3xZ3", 2, 2, 1, None, "group not a cyclic prime power"),
+    (K.ERDOS_HEILBRONN, "Z7", 3, 3, 0, None, ""),
+    (K.ERDOS_HEILBRONN, "Z7", 3, 2, 0, None, "A != B"),
+    (K.ANR, "Z7", 2, 3, 0, None, ""),
+    (K.ANR, "Z7", 2, 2, 0, None, "|A| = |B|"),
+    (K.THM1, "Z7", 2, 2, 1, None, ""),
+    (K.THM1, "Z7", 2, 2, 0, None, "S is empty"),
+    (K.PAN_SUN, "Z5", 2, 2, 4, None, ""),
+    (K.PAN_SUN, "Z5", 2, 2, 5, None, "|S| = 5 not < p = 5"),
+    (K.TWISTED_PAN_SUN, "Z7", 1, 1, 1, 5, ""),
+    (K.TWISTED_PAN_SUN, "Z7", 1, 1, 1, None, "gamma missing"),
+    (K.TWISTED_PAN_SUN, "Z7", 1, 1, 1, 7, "gamma = 0 excluded"),
+    (K.TWISTED_PAN_SUN, "Z7", 1, 1, 1, 6, "gamma = -1 excluded"),
+    (K.THM2, "Z31", 23, 25, 2, None, ""),
+    (K.THM2, "Z31", 22, 25, 2, None, "min(|A|,|B|) = 22 < 9|S|^2-5|S|-3 = 23"),
+    (K.PROP34, "Z25", 19, 19, 2, None, ""),
+    (K.PROP34, "Z25", 19, 18, 2, None, "min(|A|,|B|) = 18 < 6|S|^2-5 = 19"),
+]
+
+
 class TestApplicability:
+    @pytest.mark.parametrize("kind,name,m,k,h,gamma,reason", HYPOTHESIS_TABLE)
+    def test_hypothesis_table(self, kind, name, m, k, h, gamma, reason):
+        g = rl.parse_group(name)
+        a, b, s = sets_of_size(g, m), sets_of_size(g, k), sets_of_size(g, h)
+        assert rl.applicability(kind, g, a, b, s, gamma) == (not reason, reason)
+        # the sweep kernel reads the same rule, per |B|
+        vec = bounds._applicable_vector(kind, g, m, h, gamma, np.array([k]))
+        assert (vec is not None and bool(vec[0])) is (not reason)
+
     def test_thm2_threshold(self):
         g = rl.parse_group("Z31")
         a = sets_of_size(g, 25)
@@ -121,12 +158,16 @@ class TestCheckTriple:
             rl.check_triple(g, a, a, S(g, "{1}"), BoundKind.TWISTED_PAN_SUN, gamma=2)
 
 
-SCALAR_VECTOR_CASES = [
-    ("Z5", None, 2, (BoundKind.THM1, BoundKind.PAN_SUN, BoundKind.THM2)),
-    ("Z2xZ4", 4, 1, (BoundKind.THM1, BoundKind.KNESER_CD, BoundKind.BALISTER_WHEELER)),
-    ("Z7", 4, 1, (BoundKind.TWISTED_PAN_SUN,)),
-    ("Z8", 3, 1, (BoundKind.PRIME_POWER_S, BoundKind.PROP34, BoundKind.KAROLYI)),
-    ("Z5", None, 1, (BoundKind.CAUCHY_DAVENPORT, BoundKind.ERDOS_HEILBRONN, BoundKind.ANR)),
+SCALAR_VECTOR_CASES = [  # group, |A| and |B| cap, max |S|, kinds
+    ("Z5", None, 2, (K.THM1, K.PAN_SUN, K.THM2)),
+    ("Z2xZ4", 4, 1, (K.THM1, K.KNESER_CD, K.BALISTER_WHEELER)),
+    ("Z7", 4, 1, (K.TWISTED_PAN_SUN,)),
+    ("Z8", 3, 1, (K.PRIME_POWER_S, K.PROP34, K.KAROLYI)),
+    ("Z5", None, 1, (K.CAUCHY_DAVENPORT, K.ERDOS_HEILBRONN, K.ANR)),
+    # the group hypotheses fail
+    ("Z6", 2, 2, (K.CAUCHY_DAVENPORT, K.ERDOS_HEILBRONN, K.ANR, K.PAN_SUN, K.PRIME_POWER_S,
+                  K.PROP34)),
+    ("Z3xZ3", 3, 1, (K.PRIME_POWER_S, K.PROP34, K.THM2)),
 ]
 
 
@@ -150,18 +191,12 @@ class TestExhaustiveVerify:
 
     @pytest.mark.parametrize("name,cap,smax,kinds", SCALAR_VECTOR_CASES)
     def test_scalar_and_vector_paths_agree(self, monkeypatch, name, cap, smax, kinds):
-        g = rl.parse_group(name)
-        plan = rl.EnumerationPlan(group=g, a_max=cap, b_max=cap, s_min=0, s_max=smax)
-        fast = rl.exhaustive_verify(plan, kinds)
-        slow = rl.exhaustive_verify(plan, kinds, force_scalar=True)
-        assert fast.to_json(include_timing=False) == slow.to_json(include_timing=False)
-        # every case fits one chunk per size class; shrink the budget so the
-        # size classes span several chunks, with a partial last one
-        for rows in (1, 3):
-            monkeypatch.setattr(bounds, "_CHUNK_BYTES", _chunk_budget(g, rows))
-            assert bounds._chunk_rows(g.order) == rows
-            small = rl.exhaustive_verify(plan, kinds)
-            assert small.to_json(include_timing=False) == slow.to_json(include_timing=False)
+        _assert_paths_agree(monkeypatch, name, cap, smax, kinds)
+
+    def test_scalar_and_vector_paths_agree_at_gamma_minus_one(self, monkeypatch):
+        # gamma = 6 is -1 on Z7, and at |S| = 2 the thm2 floor is 23
+        kinds = (K.TWISTED_PAN_SUN, K.THM2, K.PAN_SUN)
+        _assert_paths_agree(monkeypatch, "Z7", 2, 2, kinds, gammas=[2, 6])
 
     def test_scalar_and_vector_agree_canonicalized(self):
         g = rl.parse_group("Z6")
@@ -290,6 +325,19 @@ class TestShardAccounting:
         pruned = sum(r.pruned for r in shards)
         assert (pruned > 0) == (prune and not force_scalar)
 
+    def test_zero_planned_checks_raise(self):
+        # the twisted bound has no gammas off Z_p, so alone it plans no checks
+        g = rl.parse_group("Z6")
+        plan = rl.EnumerationPlan(group=g, s_min=1, s_max=1)
+        with pytest.raises(ValueError, match="no checks planned"):
+            rl.exhaustive_verify(plan, [K.TWISTED_PAN_SUN], gammas=[2])
+        for mode in ("tight", "counterexample"):
+            with pytest.raises(ValueError, match="no checks planned"):
+                rl.search_witnesses(plan, K.TWISTED_PAN_SUN, mode, gammas=[2])
+        # alongside another kind it contributes nothing and the sweep runs
+        summary = rl.exhaustive_verify(plan, [K.THM1, K.TWISTED_PAN_SUN], gammas=[2])
+        assert summary.checks_planned == plan.count_triples()
+
     def test_lost_checks_raise(self, monkeypatch):
         honest = bounds._vector_shard
 
@@ -308,6 +356,22 @@ class TestShardAccounting:
 def _chunk_budget(g, rows):
     """A _CHUNK_BYTES value that gives chunks of `rows` A masks on group g."""
     return rows * (np.dtype(_masks.MASK_DTYPE).itemsize << g.order)
+
+
+def _assert_paths_agree(monkeypatch, name, cap, smax, kinds, gammas=None):
+    """The vector kernel gives the scalar path's JSON, also with small chunks."""
+    g = rl.parse_group(name)
+    plan = rl.EnumerationPlan(group=g, a_max=cap, b_max=cap, s_min=0, s_max=smax)
+    fast = rl.exhaustive_verify(plan, kinds, gammas=gammas)
+    slow = rl.exhaustive_verify(plan, kinds, gammas=gammas, force_scalar=True)
+    assert fast.to_json(include_timing=False) == slow.to_json(include_timing=False)
+    # every case fits one chunk per size class; shrink the budget so the
+    # size classes span several chunks, with a partial last one
+    for rows in (1, 3):
+        monkeypatch.setattr(bounds, "_CHUNK_BYTES", _chunk_budget(g, rows))
+        assert bounds._chunk_rows(g.order) == rows
+        small = rl.exhaustive_verify(plan, kinds, gammas=gammas)
+        assert small.to_json(include_timing=False) == slow.to_json(include_timing=False)
 
 
 class TestChunkBoundaries:

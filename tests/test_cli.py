@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -219,6 +220,20 @@ class TestNonsenseCounts:
         code, _, _ = run_cli(capsys, "verify", "--group", "Z5", "--bound", "anr")
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        ("verify", "--no-timing"), ("search", "--mode", "counterexample"),
+        ("search", "--mode", "tight"),
+    ])
+    def test_zero_planned_checks_exit_2(self, capsys, command):
+        # twisted has no gammas off Z_p: the sweep would check nothing
+        code, out, err = run_cli(
+            capsys, command[0], "--group", "Z6", "--bound", "twisted", "--gamma", "2",
+            *command[1:],
+        )
+        assert code == 2
+        assert out == ""
+        assert "no checks planned" in err
+
     @pytest.mark.parametrize("value", ["0", "-4"])
     def test_nonpositive_sample_exit_2(self, capsys, value):
         code, out, err = run_cli(
@@ -227,6 +242,51 @@ class TestNonsenseCounts:
         assert code == 2
         assert out == ""
         assert "sample_count" in err
+
+
+# sha256 of `verify --max-a 3 --max-b 3 --max-s 2 --no-timing --format json`
+# per (group, kind); None where the sweep plans no checks and exits 2
+GOLDEN_VERIFY_JSON = {
+    ("Z7", "cd"): "5f101bc6ff7204d176992612bce02a7e0b01f34a6fa21a3f7b6b7fa8a687f80e",
+    ("Z7", "kneser"): "f46783789ed6459b339e2e7f4ca13a11f554147d6a4ec075f662e6af828d7bde",
+    ("Z7", "eh"): "7b180746c6902a80213b8c11cceb5494b6b343c30ccf7fbc4a4d6a857d7cc7b3",
+    ("Z7", "anr"): "a71ec3b71decfa8e64b2156f7b2eb3804916cadb7bf7345fbffafa673c25d7b5",
+    ("Z7", "karolyi"): "e67f1d658ec847bb57bb665e3fddd8658bb9fb67d0f5bb3deaa8a71e5f194d22",
+    ("Z7", "bw"): "da585299e812863f9a25dd6af504770011b0e674f75fd8bda1269304dae83f59",
+    ("Z7", "pansun"): "ec4048f6fa1a02edd8362ce7551e71c309cec80f359b265b520eb351f3bcd6ad",
+    ("Z7", "thm1"): "ff79aa62a862455ce8f3101ac9113d02a542cb04e3122c538877fbc1759bb51e",
+    ("Z7", "ppow"): "f54ec85ab9790339e2288325c7ce7e74f3479b76b5ba16ff190c7e16b2c2af34",
+    ("Z7", "thm2"): "b5f3d10d7c3c57869863a9393b4e258527708881f19512b557b5320fd784bdea",
+    ("Z7", "prop34"): "ba29041306a3e0233ed4edc159168cb93f49bc631df346b5eb505cb52b2d7d61",
+    ("Z7", "twisted"): "156b7b80b95ba6d74c3c1b793e890eb11603e514cc40f7cfac1c73dc8cb6ce68",
+    ("Z2xZ4", "cd"): "ac3adace6bc003e37d69e7fb45f313541ca4578f8a6f927b28a6d6f609a76222",
+    ("Z2xZ4", "kneser"): "5cb3eb6d4ae25517faf54d6ff68e021b1da5f2d3463847db8f077822e7c0440d",
+    ("Z2xZ4", "eh"): "fb1d6ab7017376677b2327f301638e9538733ae2dbe7f6aabb37b263fdda42a5",
+    ("Z2xZ4", "anr"): "22855a1e6f97ab159da001b83fcd844590a1d97db3f8915b0a589610dd0b29ed",
+    ("Z2xZ4", "karolyi"): "bae5d49182c8bd9d7a5d8b1f34f2d56ea96e1f04b3f264e2c98df1a507d17da4",
+    ("Z2xZ4", "bw"): "761704c76f4876443bd05588fdf070dca8afe1ac97e30c682db3c5050058db3f",
+    ("Z2xZ4", "pansun"): "7dfe849740c771656881ef5e86f160507aa8e1c4613167267654974612840f50",
+    ("Z2xZ4", "thm1"): "768091155f166a09252e6477d7ebf40435a4124d8345cb10c4b3382599e1b49f",
+    ("Z2xZ4", "ppow"): "4d8d927d1e1138a92764bd1faad668cc9499b3b0f7632d6bf071721ac893affc",
+    ("Z2xZ4", "thm2"): "35b050586f6bf4c57df71907a34d906ceaf5a67d7a8bae46291168bc31c85fce",
+    ("Z2xZ4", "prop34"): "96d13b0b16afa04f51370a1e81b16403b44d7a1660dc140691c62fad743d8e5c",
+    ("Z2xZ4", "twisted"): None,
+}
+
+
+class TestGoldenVerifyJson:
+    @pytest.mark.parametrize("group,kind", sorted(GOLDEN_VERIFY_JSON))
+    def test_bytes_match(self, capsys, group, kind):
+        code, out, _ = run_cli(
+            capsys, "verify", "--group", group, "--bound", kind, "--max-a", "3", "--max-b", "3",
+            "--max-s", "2", "--no-timing", "--format", "json",
+        )
+        want = GOLDEN_VERIFY_JSON[group, kind]
+        if want is None:
+            assert (code, out) == (2, "")
+        else:
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 class TestSearchCommand:
