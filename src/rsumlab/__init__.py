@@ -30,7 +30,6 @@ from .sets import (
     unit_scaling_representative,
 )
 from .engine import (
-    SumsetQuery,
     generalized_restricted_sumset,
     restricted_sumset,
     sumset,

@@ -63,12 +63,6 @@ class MaskTables:
             out |= (keep >> x & 1) << self.add[x]
         return out.astype(MASK_DTYPE)
 
-    def cmasks_plain(self, abits) -> np.ndarray:
-        return self.cmasks_general(abits, 0)
-
-    def cmasks_restricted(self, abits) -> np.ndarray:
-        return self.cmasks_general(abits, 1)
-
 
 def popcount_table(n: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << n, dtype=MASK_DTYPE)).astype(np.uint8)

@@ -546,8 +546,9 @@ def _vector_shard(
                     op = kind.operator
                     if op is Operator.PLAIN or op is Operator.RESTRICTED:
                         if op not in s_free:
-                            s_free[op] = popcounts(t.cmasks_plain(amasks) if op is Operator.PLAIN
-                                                   else t.cmasks_restricted(amasks))
+                            # S = {} gives the plain sumset, S = {0} the restricted one
+                            sbits = 0 if op is Operator.PLAIN else 1
+                            s_free[op] = popcounts(t.cmasks_general(amasks, sbits))
                         lhs = s_free[op]
                     else:
                         gm = 1 if gamma is None else gamma

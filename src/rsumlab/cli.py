@@ -24,7 +24,7 @@ from .bounds import (
     search_witnesses,
     witness_csv,
 )
-from .engine import SumsetQuery
+from .engine import generalized_restricted_sumset, twisted_restricted_sumset
 from .groups import GroupError, format_element, format_group, parse_group
 from .sets import ElementSet, EnumerationPlan, format_set, parse_set
 from .structure import (
@@ -230,6 +230,21 @@ def _parse_gammas(raw, group) -> list[int] | None:
     return out
 
 
+def _require_twist_group(args, group, names: list[str]) -> None:
+    """Reject --gamma and a named twisted bound where no twisted check can run.
+
+    Off Z_p the sweep has no gammas, so it would drop the twisted bound and
+    report the other kinds only.  ``--bound all`` alone still sweeps them.
+    """
+    twisted_named = BoundKind.TWISTED_PAN_SUN.value in names
+    if group.is_prime_cyclic or (args.gamma is None and not twisted_named):
+        return
+    raise ValueError(
+        f"no checks planned for the twisted bound (--gamma or --bound twisted): "
+        f"it needs a prime cyclic group, got {format_group(group)}"
+    )
+
+
 def _build_plan(args, group, kinds) -> EnumerationPlan:
     s_free = all(not k.info.needs_s for k in kinds)
     min_s = args.min_s
@@ -289,8 +304,10 @@ def _cmd_sumset(args, out: _Output) -> int:
     a = parse_set(group, args.A)
     b = parse_set(group, args.B)
     s = parse_set(group, args.S) if args.S is not None else ElementSet.empty(group)
-    query = SumsetQuery(a=a, b=b, s=s, twist=args.gamma)
-    result = query.evaluate()
+    if args.gamma is None:
+        result = generalized_restricted_sumset(a, b, s)
+    else:
+        result = twisted_restricted_sumset(a, b, s, args.gamma)
     text = format_set(result)
     if args.format == "json":
         out.write(json.dumps(
@@ -310,6 +327,7 @@ def _cmd_sumset(args, out: _Output) -> int:
 def _cmd_verify(args, out: _Output) -> int:
     group = parse_group(args.group)
     kinds = _parse_kinds(args.bound)
+    _require_twist_group(args, group, args.bound)
     plan = _build_plan(args, group, kinds)
     gammas = _parse_gammas(args.gamma, group)
     threads = _threads(args)
@@ -332,6 +350,7 @@ def _cmd_verify(args, out: _Output) -> int:
 def _cmd_search(args, out: _Output) -> int:
     group = parse_group(args.group)
     kind = kind_from_name(args.bound)
+    _require_twist_group(args, group, [args.bound])
     plan = _build_plan(args, group, [kind])
     gammas = _parse_gammas(args.gamma, group)
     threads = _threads(args)

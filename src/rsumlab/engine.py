@@ -7,8 +7,6 @@ cleverer at the group orders this library targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .groups import GroupError, GroupSpec, index_table
 from .sets import ElementSet, _require_same_group
 
@@ -83,39 +81,3 @@ def _pair_sums(g: GroupSpec, a: ElementSet, b: ElementSet, sbits: int, gamma: in
             for i in a_idx:
                 out |= 1 << row[i]
     return out
-
-
-@dataclass(frozen=True)
-class SumsetQuery:
-    """One (A, B, S, optional twist) evaluation request.
-
-    ``twist`` selects the gamma-twisted operator and is only meaningful on
-    prime cyclic groups; ``twist=None`` with empty S is the plain sumset.
-    """
-
-    a: ElementSet
-    b: ElementSet
-    s: ElementSet
-    twist: int | None = None
-
-    def __post_init__(self):
-        g = _require_same_group(self.a, self.b, self.s)
-        _require_nonempty(self.a, "A")
-        _require_nonempty(self.b, "B")
-        if self.twist is not None:
-            if not g.is_prime_cyclic:
-                raise GroupError(f"twist requires a prime cyclic group, got {g}")
-            if self.twist % g.order == 0:
-                raise ValueError("twist must be non-zero modulo p")
-
-    @property
-    def group(self) -> GroupSpec:
-        return self.a.group
-
-    def evaluate(self) -> ElementSet:
-        if self.twist is not None:
-            return twisted_restricted_sumset(self.a, self.b, self.s, self.twist)
-        return generalized_restricted_sumset(self.a, self.b, self.s)
-
-    def cardinality(self) -> int:
-        return self.evaluate().size

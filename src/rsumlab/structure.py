@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .engine import generalized_restricted_sumset, sumset
+# generalized_restricted_sumset is unused here but kept as a module attribute:
+# the benchmark tracer (perfbench/tracer.py) wraps structure's sumset names
+from .engine import generalized_restricted_sumset, sumset  # noqa: F401
 from .groups import Element, GroupSpec, index_table, map_bits
 from .sets import ElementSet, _require_same_group
 from .subgroups import Subgroup, prime_order_subgroups
@@ -67,19 +69,17 @@ def coset_decompose(x: ElementSet, h: Subgroup) -> CosetDecomposition:
     g = _require_same_group(x, h.members)
     if not x.bits:
         raise ValueError("cannot decompose the empty set")
+    t = index_table(g)
     remaining = x.bits
-    parts: list[tuple[Element, ElementSet]] = []
+    found: list[tuple[int, int, int]] = []  # (-fiber size, rep index, fiber bits)
     while remaining:
-        low = remaining & -remaining
-        rep_idx = low.bit_length() - 1
-        rep = g.index_element(rep_idx)
-        coset_bits = h.members.translate(rep).bits
-        hit = remaining & coset_bits
-        fiber = ElementSet(g, hit).translate(g.neg(rep))
-        parts.append((rep, fiber))
+        rep = (remaining & -remaining).bit_length() - 1
+        hit = remaining & map_bits(h.members.bits, t.add[rep])
+        found.append((-hit.bit_count(), rep, map_bits(hit, t.add[t.neg[rep]])))
         remaining &= ~hit
-    parts.sort(key=lambda part: (-part[1].size, g.element_index(part[0])))
-    return CosetDecomposition(subgroup=h, parts=tuple(parts))
+    found.sort()
+    parts = tuple((g.index_element(rep), ElementSet(g, fiber)) for _, rep, fiber in found)
+    return CosetDecomposition(subgroup=h, parts=parts)
 
 
 def stabilizer(x: ElementSet) -> Subgroup:
@@ -179,22 +179,19 @@ class SdrSolution:
         return len(self.pairs)
 
 
-def _solution_length(inst: SdrInstance) -> int:
+def _window_rule(inst: SdrInstance) -> tuple[int, int]:
+    """(w, first): position k may use A-positions 2..w and k + w, for k = first..m - w."""
     if inst.variant is SdrVariant.LEMMA22:
-        return inst.m - inst.h - 2
+        return inst.h + 2, 1
     if inst.variant is SdrVariant.LEMMA33:
-        return inst.m - 3 * inst.h
-    return inst.m - 1
+        return 3 * inst.h, 1
+    return 0, 2
 
 
 def sdr_index_window(inst: SdrInstance, k: int) -> list[int]:
     """Admissible 1-based A-positions for the k-th selected pair."""
-    h = inst.h
-    if inst.variant is SdrVariant.LEMMA22:
-        return list(range(2, h + 3)) + [k + h + 2]
-    if inst.variant is SdrVariant.LEMMA33:
-        return list(range(2, 3 * h + 1)) + [k + 3 * h]
-    return [k]
+    w, _ = _window_rule(inst)
+    return list(range(2, w + 1)) + [k + w]
 
 
 def _check_hypotheses(inst: SdrInstance) -> None:
@@ -226,25 +223,6 @@ def _check_hypotheses(inst: SdrInstance) -> None:
             raise HypothesisViolation(f"m + n - 1 = {m + n - 1} must be <= p(G) = {p}")
 
 
-def _admissible_sums(
-    inst: SdrInstance, k: int, excluded_bits: int, a_idx: list[int], b_set: ElementSet
-) -> int:
-    """Bitmap of candidate sums for position k, outside a_1 + B.
-
-    ``a_idx`` holds the indices of a_1..a_m and ``b_set`` is B, both encoded once.
-    """
-    g = inst.group
-    v = inst.variant
-    if v is SdrVariant.LEMMA32:
-        return map_bits(b_set.bits, index_table(g).add[a_idx[k - 1]]) & ~excluded_bits
-    if v is SdrVariant.LEMMA22:
-        head = a_idx[: inst.h + 2] + [a_idx[k + inst.h + 1]]
-    else:
-        head = a_idx[: 3 * inst.h] + [a_idx[k + 3 * inst.h - 1]]
-    head_set = ElementSet.from_indices(g, head)
-    return generalized_restricted_sumset(head_set, b_set, inst.s).bits & ~excluded_bits
-
-
 def _max_matching(adjacency: list[list[int]], n_right: int) -> list[int | None]:
     """Augmenting-path maximum matching; deterministic for sorted adjacency."""
     match_left: list[int | None] = [None] * len(adjacency)
@@ -270,57 +248,49 @@ def _max_matching(adjacency: list[list[int]], n_right: int) -> list[int | None]:
 def sdr_select(inst: SdrInstance) -> SdrSolution:
     """Select distinct sums a_{i_k} + b_{j_k} outside a_1 + B, one per position.
 
-    Hall's condition is certified by the matching itself: on inputs meeting
-    the variant hypotheses a perfect matching always exists, so a
-    LemmaViolation from here is a genuine failure, not an input error.
+    Each position k records every admissible sum of its window with the first
+    pair (i, j) that makes it, in window order and then B order.  Hall's
+    condition is certified by the matching itself: on inputs meeting the
+    variant hypotheses a perfect matching always exists, so a LemmaViolation
+    from here is a genuine failure, not an input error.
     """
     _check_hypotheses(inst)
     g = inst.group
-    count = _solution_length(inst)
     t = index_table(g)
     a_idx = [g.element_index(e) for e in inst.a]
     b_idx = [g.element_index(e) for e in inst.b]
-    b_set = ElementSet.from_indices(g, b_idx)
-    excluded = map_bits(b_set.bits, t.add[a_idx[0]])
-    positions = list(range(2, inst.m + 1)) if inst.variant is SdrVariant.LEMMA32 else list(
-        range(1, count + 1)
-    )
-    candidate_bits = [_admissible_sums(inst, k, excluded, a_idx, b_set) for k in positions]
+    excluded = {t.add[bj][a_idx[0]] for bj in b_idx}
+    # lemma32 selects from the plain sumset; the others need a_i - b_j not in S
+    sbits = 0 if inst.variant is SdrVariant.LEMMA32 else inst.s.bits
+    w, first = _window_rule(inst)
+    records: list[dict[int, tuple[int, int]]] = []
+    for k in range(first, inst.m - w + 1):
+        record: dict[int, tuple[int, int]] = {}
+        for i in sdr_index_window(inst, k):
+            ai = a_idx[i - 1]
+            for j, bj in enumerate(b_idx, start=1):
+                total = t.add[bj][ai]
+                if total in excluded or sbits >> t.add[t.neg[bj]][ai] & 1:
+                    continue
+                record.setdefault(total, (i, j))
+        records.append(record)
+    # sums are numbered position by position, ascending element index within one
     sum_ids: dict[int, int] = {}
-    for bits in candidate_bits:
-        for idx in ElementSet(g, bits).indices():
-            sum_ids.setdefault(idx, len(sum_ids))
-    adjacency = [
-        sorted(sum_ids[idx] for idx in ElementSet(g, bits).indices()) for bits in candidate_bits
-    ]
+    for record in records:
+        for total in sorted(record):
+            sum_ids.setdefault(total, len(sum_ids))
+    adjacency = [sorted(sum_ids[total] for total in record) for record in records]
     match_left = _max_matching(adjacency, len(sum_ids))
     if any(v is None for v in match_left):
         raise LemmaViolation(
             f"no perfect matching for {inst.variant.value} instance "
             f"(m={inst.m}, n={inst.n}, h={inst.h})"
         )
-    by_id = {v: idx for idx, v in sum_ids.items()}
-    pairs: list[tuple[int, int]] = []
-    sbits = inst.s.bits
-    for pos, matched in zip(positions, match_left):
-        target = by_id[matched]  # type: ignore[index]
-        found = None
-        for i in sdr_index_window(inst, pos):
-            ai = a_idx[i - 1]
-            for j, bj in enumerate(b_idx, start=1):
-                if t.add[bj][ai] != target:
-                    continue
-                if inst.variant is not SdrVariant.LEMMA32:
-                    if sbits >> t.add[t.neg[bj]][ai] & 1:
-                        continue
-                found = (i, j)
-                break
-            if found:
-                break
-        if found is None:
-            raise LemmaViolation("matched sum has no admissible representation")
-        pairs.append(found)
-    return SdrSolution(instance=inst, pairs=tuple(pairs))
+    by_id = list(sum_ids)
+    pairs = tuple(
+        record[by_id[v]] for record, v in zip(records, match_left)  # type: ignore[index]
+    )
+    return SdrSolution(instance=inst, pairs=pairs)
 
 
 # -- critical pair classification ----------------------------------------------

@@ -216,7 +216,7 @@ def test_criterion_10_critical_pair_classifier():
         p = g.least_prime
         n = g.order
         for abits in range(1, 1 << n):
-            u = _masks.union_table(t.cmasks_plain(abits), n)
+            u = _masks.union_table(t.cmasks_general(abits, 0), n)
             m = int(sizes[abits])
             card = sizes[u]
             crit = (card == m + sizes - 1) & (card <= p - 1) & (sizes > 0)

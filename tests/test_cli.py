@@ -31,6 +31,17 @@ class TestSumsetCommand:
         assert code == 0
         assert out.splitlines()[0] == "{0,1,2,3}"
 
+    @pytest.mark.parametrize("group,gamma,needle", [
+        ("Z6", "2", "twisted sumset needs a prime cyclic group"),
+        ("Z5", "5", "gamma must be non-zero"),
+    ])
+    def test_twisted_bad_input_exit_2(self, capsys, group, gamma, needle):
+        code, out, err = run_cli(
+            capsys, "sumset", "--group", group, "--A", "{0}", "--B", "{0}", "--gamma", gamma,
+        )
+        assert (code, out) == (2, "")
+        assert needle in err
+
     def test_twisted(self, capsys):
         code, out, _ = run_cli(
             capsys, "sumset", "--group", "Z5", "--A", "{0,1,2}", "--B", "{0,1}",
@@ -233,6 +244,30 @@ class TestNonsenseCounts:
         assert code == 2
         assert out == ""
         assert "no checks planned" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--bound", "thm1", "--bound", "twisted", "--gamma", "2"),
+        ("verify", "--bound", "thm1", "--bound", "twisted"),
+        ("verify", "--bound", "all", "--gamma", "2"),
+        ("verify", "--bound", "thm1", "--gamma", "all"),
+        ("search", "--bound", "thm1", "--gamma", "2"),
+        ("search", "--bound", "twisted", "--mode", "counterexample"),
+    ])
+    def test_twisted_request_off_zp_exit_2(self, capsys, argv):
+        # a sweep off Z_p has no gammas: it would drop the twisted bound and
+        # the --gamma values without a word
+        code, out, err = run_cli(capsys, argv[0], "--group", "Z6", *argv[1:], "--no-timing")
+        assert code == 2
+        assert out == ""
+        assert "no checks planned" in err
+
+    def test_bound_all_off_zp_still_sweeps_the_rest(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--group", "Z6", "--bound", "all", "--max-a", "2", "--max-b", "2",
+            "--no-timing",
+        )
+        assert code == 0
+        assert out.startswith("group=Z6 kinds=cd,kneser,")
 
     @pytest.mark.parametrize("value", ["0", "-4"])
     def test_nonpositive_sample_exit_2(self, capsys, value):

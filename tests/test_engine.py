@@ -83,6 +83,11 @@ class TestGeneralizedRestricted:
         assert set_of(got) == {(0,), (1,), (3,), (4,)}
         assert got == rl.sumset(a, b)
 
+    def test_rejects_mixed_groups(self):
+        g5, g6 = rl.parse_group("Z5"), rl.parse_group("Z6")
+        with pytest.raises(rl.GroupMismatchError):
+            rl.generalized_restricted_sumset(S(g5, "{0}"), S(g6, "{0}"), rl.ElementSet.empty(g5))
+
     @pytest.mark.parametrize("name", ["Z7", "Z2xZ4", "Z3xZ3"])
     def test_matches_oracle_on_random_triples(self, name):
         g = rl.parse_group(name)
@@ -138,24 +143,6 @@ class TestTwisted:
             a, b, s = (rl.ElementSet(g, int(x)) for x in bits)
             want = oracle_sumset(g.factors, list(a), list(b), list(s), gamma=gamma)
             assert set_of(rl.twisted_restricted_sumset(a, b, s, gamma)) == want
-
-
-class TestSumsetQuery:
-    def test_dispatch(self):
-        g = rl.parse_group("Z5")
-        q = rl.SumsetQuery(a=S(g, "{0,1}"), b=S(g, "{0,2}"), s=rl.ElementSet.empty(g))
-        assert q.cardinality() == 4
-        qt = rl.SumsetQuery(a=S(g, "{0,1,2}"), b=S(g, "{0,1}"), s=S(g, "{0}"), twist=2)
-        assert qt.cardinality() == 2
-
-    def test_validation(self):
-        g5, g6 = rl.parse_group("Z5"), rl.parse_group("Z6")
-        with pytest.raises(rl.GroupMismatchError):
-            rl.SumsetQuery(a=S(g5, "{0}"), b=S(g6, "{0}"), s=rl.ElementSet.empty(g5))
-        with pytest.raises(ValueError):
-            rl.SumsetQuery(a=S(g5, "{0}"), b=S(g5, "{0}"), s=rl.ElementSet.empty(g5), twist=0)
-        with pytest.raises(rl.GroupError):
-            rl.SumsetQuery(a=S(g6, "{0}"), b=S(g6, "{0}"), s=rl.ElementSet.empty(g6), twist=2)
 
 
 # -- algebraic invariants, exhaustive at small orders ---------------------------

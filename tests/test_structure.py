@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -118,7 +120,7 @@ def test_kneser_and_extended_cauchy_davenport_exhaustive(name):
     sizes = t.pops.astype(np.int64)
     p = g.least_prime
     for abits in range(1, 1 << n):
-        u = _masks.union_table(t.cmasks_plain(abits), n)[1:]  # skip empty B
+        u = _masks.union_table(t.cmasks_general(abits, 0), n)[1:]  # skip empty B
         card = sizes[u]
         bsizes = sizes[1:1 << n]
         m = int(sizes[abits])
@@ -310,6 +312,103 @@ def _random_instances(groups, count, seed):
             s = rl.ElementSet.empty(g)
         yield rl.SdrInstance(group=g, a=a, b=b, s=s, variant=variant)
         made += 1
+
+
+# -- pinned output -----------------------------------------------------------------
+#
+# check_solution accepts any valid selection and the decomposition tests any
+# valid split, so neither notices a change in *which* pairs or parts come out.
+# These sha256 pins fix the exact sdr_select pairs (or the exception type and
+# message) over fixed instance lists, and the exact coset_decompose parts.
+
+SDR_PINS = {
+    "lemma32-m1": "55105b07dbe67844ad33070d68620c5129e739f4afc36f6600e08bc43150ac66",
+    "Z5-h1": "4c3b011838691c3670feacb85352b3046b9da49637246406ccad53663beb4cf0",
+    "Z7-h1": "f0f95f4c47e52144667bdfbf536693ae6a538407187796b3c34b04eb2d6fd5c8",
+    "Z11": "1a1f11a428a2e08c4955b50b4b4a270742f048730d571e589d2de96525b911c5",
+    "Z13": "6cbf637743d437a595a3be32db013691ce9172d8fdc6bf290c092d4013fd8c2f",
+    "Z2xZ4": "37a6847adf88918cad4396cc638f1bcb09b766f8fe1453bc46bb4fcb90ffdae5",
+}
+
+DECOMPOSE_PINS = {
+    "Z12": "0cfffffac27315c32dc339e3ab178f991dac9369ab78dea0cb7afe5fd2ae8833",
+    "Z2xZ6": "dc878832c85f0375ba5f3782b0ba73748e10cc81b4f4a433717f3cc92707d618",
+    "Z4xZ4": "d72871e6371a03547f0ee448e5339dd6dd1225d52c9b2dfd3986f514c47168e4",
+}
+
+
+def _lemma32_m1_instances():
+    for name in ("Z5", "Z6", "Z7", "Z2xZ4"):
+        g = rl.parse_group(name)
+        for a in g.elements():
+            for bbits in range(1, 1 << g.order):
+                yield rl.SdrInstance.from_sets(
+                    rl.ElementSet.from_elements(g, [a]), rl.ElementSet(g, bbits), None,
+                    rl.SdrVariant.LEMMA32,
+                )
+
+
+def _unconstrained_instances(g, count, seed):
+    """Random sizes and element orders, hypotheses or not."""
+    rng = np.random.default_rng(seed)
+    variants = list(rl.SdrVariant)
+    for made in range(count):
+        variant = variants[made % len(variants)]
+        m, n = (int(x) for x in rng.integers(1, g.order + 1, size=2))
+        h = int(rng.integers(0, 4))
+        a = tuple(g.index_element(int(i)) for i in rng.choice(g.order, size=m, replace=False))
+        b = tuple(g.index_element(int(i)) for i in rng.choice(g.order, size=n, replace=False))
+        s_idx = rng.choice(g.order, size=h, replace=False)
+        s = rl.ElementSet.from_indices(g, (int(i) for i in s_idx))
+        yield rl.SdrInstance(group=g, a=a, b=b, s=s, variant=variant)
+
+
+def _pin_instances(key):
+    if key == "lemma32-m1":
+        yield from _lemma32_m1_instances()
+    elif key in ("Z5-h1", "Z7-h1"):
+        g = rl.parse_group(key[:2])
+        for variant in rl.SdrVariant:
+            yield from _all_instances(g, variant, h=1)
+    else:
+        g = rl.parse_group(key)
+        if g.is_prime_cyclic:
+            yield from _random_instances([g], count=600, seed=g.order)
+        yield from _unconstrained_instances(g, count=600, seed=100 + g.order)
+
+
+def sdr_pin_digest(key):
+    digest = hashlib.sha256()
+    for inst in _pin_instances(key):
+        try:
+            out = repr(rl.sdr_select(inst).pairs)
+        except (rl.HypothesisViolation, rl.LemmaViolation) as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        digest.update(f"{inst.variant.value} {inst.a} {inst.b} {inst.s.bits} -> {out}\n".encode())
+    return digest.hexdigest()
+
+
+def decompose_pin_digest(name):
+    g = rl.parse_group(name)
+    subs = rl.all_subgroups(g)
+    rng = np.random.default_rng(g.order)
+    digest = hashlib.sha256()
+    for _ in range(1500):
+        x = rl.ElementSet(g, int(rng.integers(1, 1 << g.order)))
+        h = subs[int(rng.integers(0, len(subs)))]
+        parts = [(rep, fiber.bits) for rep, fiber in rl.coset_decompose(x, h).parts]
+        digest.update(f"{x.bits} {h.members.bits} -> {parts}\n".encode())
+    return digest.hexdigest()
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("key", sorted(SDR_PINS))
+    def test_sdr_select_pairs(self, key):
+        assert sdr_pin_digest(key) == SDR_PINS[key]
+
+    @pytest.mark.parametrize("name", sorted(DECOMPOSE_PINS))
+    def test_coset_decompose_parts(self, name):
+        assert decompose_pin_digest(name) == DECOMPOSE_PINS[name]
 
 
 # -- critical pair classification -------------------------------------------------
