@@ -27,7 +27,6 @@ from .sets import (
     enumerate_triples,
     format_set,
     parse_set,
-    unit_scaling_representative,
 )
 from .engine import (
     generalized_restricted_sumset,

@@ -39,29 +39,32 @@ class MaskTables:
     #
     # X +_S Y = union over y in Y of (y + (X minus (gamma*y + S))), so fixing
     # the first operand and S gives one contribution mask per candidate y.
+    # Translating by y is a bijection, so that mask is
+    # (y + X) minus ((1+gamma)*y + S): a translate of X that does not depend on
+    # (S, gamma), less an exclusion that does not depend on X.
 
     def cmasks_general(self, abits, sbits: int, gamma: int = 1) -> np.ndarray:
         """C[..., b] = mask of b + (A \\ (gamma*b + S)) for each element index b.
 
         ``abits`` is one mask (result shape ``(n,)``) or an array of k masks
-        (result shape ``(k, n)``).  Each step ORs the translates of one element
-        x, so the cost is n numpy operations whatever k is.
+        (result shape ``(k, n)``).  With S = {} the result is the translates
+        b + A alone.
         """
-        n = self.n
+        members = np.asarray(abits, dtype=np.int64)[..., None] >> np.arange(self.n) & 1
+        # member x of A lands on bit add[x][b] of b + A; for fixed b these bits
+        # are distinct, so their sum is their union
+        translates = (members[..., None] << self.add).sum(axis=-2)
+        return (translates & ~self.exclusions(sbits, gamma)).astype(MASK_DTYPE)
+
+    def exclusions(self, sbits: int, gamma: int = 1) -> np.ndarray:
+        """E[b] = mask of (1+gamma)*b + S for each element index b."""
         if gamma != 1 and self.group.rank != 1:
             raise ValueError("twist is only defined on rank-1 groups")
-        a = np.asarray(abits, dtype=np.int64)
-        excluded = np.zeros(n, dtype=np.int64)  # excluded[c] = mask of c + S
-        for x in range(n):
+        excluded = np.zeros(self.n, dtype=np.int64)  # excluded[c] = mask of c + S
+        for x in range(self.n):
             if sbits >> x & 1:
                 excluded |= np.int64(1) << self.add[x]
-        if gamma != 1:
-            excluded = excluded[self.index.scaled(gamma)]  # the mask of gamma*b + S
-        keep = a[..., None] & ~excluded
-        out = np.zeros(keep.shape, dtype=np.int64)
-        for x in range(n):
-            out |= (keep >> x & 1) << self.add[x]
-        return out.astype(MASK_DTYPE)
+        return excluded[self.index.scaled(1 + gamma)]
 
 
 def popcount_table(n: int) -> np.ndarray:

@@ -83,13 +83,31 @@ class BoundKind(Enum):
     def operator(self) -> Operator:
         return self.info.operator
 
+    @property
+    def reads_s(self) -> bool:
+        """Whether the operator reads the sweep's S; plain and restricted fix theirs."""
+        return self.operator not in _FIXED_S
+
+
+# Each operator is A +_S B = {a + b : a - gamma*b not in S} at the (S, gamma) that
+# _operator_s_gamma reads off the sweep's: plain fixes S = {}, restricted S = {0}
+# (element index 0), general reads S, and twisted reads S and gamma.
+_FIXED_S = {Operator.PLAIN: 0, Operator.RESTRICTED: 1}
+
+
+def _operator_s_gamma(kind: BoundKind, smask: int, gamma) -> tuple[int, int]:
+    """The (S mask, gamma) that ``kind``'s operator reads of the sweep's (S, gamma)."""
+    op = kind.operator
+    return _FIXED_S.get(op, smask), gamma if op is Operator.TWISTED else 1
+
 
 @dataclass(frozen=True)
 class _KindInfo:
     """rhs = min(ca*|A| + cb*|B| + ch*|S| + c0, p(G)), and the bound's hypotheses.
 
-    ``_failed_hypothesis`` tests the hypothesis fields in order; the twisted
-    operator adds gamma not in {0, -1} just before the size floor.
+    ``_failed_hypothesis`` tests the hypothesis fields in order; an operator
+    that reads the sweep's S adds a non-empty S after the size fields, and
+    the twisted operator adds gamma not in {0, -1} just before the size floor.
     """
 
     operator: Operator
@@ -100,7 +118,6 @@ class _KindInfo:
     group_shape: str = ""  # a GroupSpec predicate that must hold, a key of _GROUP_SHAPES
     equal_sets: bool = False  # bound is about A (+) A
     distinct_sizes: bool = False  # needs |A| != |B|
-    needs_s: bool = False
     s_below_p: bool = False  # needs |S| < p
     size_floor: tuple[str, Callable[[int], int]] | None = None  # min(|A|,|B|) >= f(|S|)
 
@@ -121,20 +138,18 @@ _KIND_INFO = {
     BoundKind.KAROLYI: _KindInfo(Operator.RESTRICTED, 2, 0, 0, -3, equal_sets=True),
     BoundKind.BALISTER_WHEELER: _KindInfo(Operator.RESTRICTED, 1, 1, 0, -3),
     BoundKind.PAN_SUN: _KindInfo(
-        Operator.GENERAL, 1, 1, -1, -2, group_shape="is_prime_cyclic", needs_s=True,
-        s_below_p=True),
-    BoundKind.THM1: _KindInfo(Operator.GENERAL, 1, 1, -3, 0, needs_s=True),
+        Operator.GENERAL, 1, 1, -1, -2, group_shape="is_prime_cyclic", s_below_p=True),
+    BoundKind.THM1: _KindInfo(Operator.GENERAL, 1, 1, -3, 0),
     BoundKind.PRIME_POWER_S: _KindInfo(
-        Operator.GENERAL, 1, 1, -2, -1, group_shape="is_cyclic_prime_power", needs_s=True),
+        Operator.GENERAL, 1, 1, -2, -1, group_shape="is_cyclic_prime_power"),
     BoundKind.THM2: _KindInfo(
-        Operator.GENERAL, 1, 1, -1, -2, needs_s=True,
+        Operator.GENERAL, 1, 1, -1, -2,
         size_floor=("9|S|^2-5|S|-3", lambda h: 9 * h * h - 5 * h - 3)),
     BoundKind.PROP34: _KindInfo(
-        Operator.GENERAL, 1, 1, -1, -2, group_shape="is_cyclic_prime_power", needs_s=True,
+        Operator.GENERAL, 1, 1, -1, -2, group_shape="is_cyclic_prime_power",
         size_floor=("6|S|^2-5", lambda h: 6 * h * h - 5)),
     BoundKind.TWISTED_PAN_SUN: _KindInfo(
-        Operator.TWISTED, 1, 1, -1, -2, group_shape="is_prime_cyclic", needs_s=True,
-        s_below_p=True),
+        Operator.TWISTED, 1, 1, -1, -2, group_shape="is_prime_cyclic", s_below_p=True),
 }
 
 ALL_KINDS = tuple(BoundKind)
@@ -169,7 +184,7 @@ def _failed_hypothesis(
         return "A != B"
     if info.distinct_sizes and a_size == b_size:
         return "|A| = |B|"
-    if info.needs_s and s_size == 0:
+    if kind.reads_s and s_size == 0:
         return "S is empty"
     p = group.least_prime
     if info.s_below_p and s_size >= p:
@@ -341,8 +356,9 @@ def _kind_gammas(kind: BoundKind, cfg: _SweepConfig) -> tuple:
 
 
 def _min_lhs_floor(kind: BoundKind, m: int, b_min: int, h: int) -> int:
-    h_eff = {Operator.PLAIN: 0, Operator.RESTRICTED: 1}.get(kind.operator, h)
-    return max(m, b_min) - h_eff
+    """max(|A|, |B|) - |S| at the operator's own S, so restricted stays 1 at |S| = 0."""
+    s_eff = _operator_s_gamma(kind, (1 << h) - 1, None)[0]
+    return max(m, b_min) - s_eff.bit_count()
 
 
 def _prunable(kind: BoundKind, m: int, h: int, plan: EnumerationPlan, p: int) -> bool:
@@ -355,6 +371,7 @@ class _ShardResult:
     tight: _TopK
     evaluated: int = 0  # (A, B, S, kind, gamma) checks decided by this shard
     pruned: int = 0  # checks skipped because their (|A|, |S|) class was pruned
+    triples: int = 0  # (A, B, S) triples with at least one evaluated check
 
 
 def _planned_checks(plan: EnumerationPlan, cfg: _SweepConfig, work_ceiling: int) -> int:
@@ -391,8 +408,17 @@ def _scalar_shard(
     g = plan.group
     res = _ShardResult(_TopK(cfg.max_witnesses), _TopK(cfg.max_witnesses))
     collect_tight = cfg.collect_tight and not cfg.ignore_applicability
+    p = g.least_prime
+    skipped: dict[tuple[int, int], set] = {}  # (|A|, |S|) -> the kinds --prune skips
     for a, b, s in enumerate_triples(plan, shard_index, shard_count):
+        m, h = a.size, s.size
+        if (m, h) not in skipped:
+            skipped[m, h] = {k for k in cfg.kinds if cfg.prune and _prunable(k, m, h, plan, p)}
+        evaluated = res.evaluated
         for kind in cfg.kinds:
+            if kind in skipped[m, h]:
+                res.pruned += len(_kind_gammas(kind, cfg))
+                continue
             for gamma in _kind_gammas(kind, cfg):
                 rep = check_triple(g, a, b, s, kind, gamma)
                 res.evaluated += 1
@@ -408,6 +434,7 @@ def _scalar_shard(
                     res.violations.record(key, payload)
                 if tight:
                     res.tight.record(key, payload)
+        res.triples += res.evaluated > evaluated
     return res
 
 
@@ -505,8 +532,10 @@ def _vector_shard(
 ) -> _ShardResult:
     """Evaluate every B at once for a chunk of same-size A masks and one S.
 
-    Union tables hold |A +_S B| for the whole chunk; pruning, rhs and
-    applicability are settled once per (|A|, |S|) class.
+    Union tables hold |A +_S B| for the whole chunk, one per (S, gamma) that
+    the kinds' operators read; each is the chunk's translates b + A less the
+    exclusions (1+gamma)*b + S.  Pruning, rhs and applicability are settled
+    once per (|A|, |S|) class.
     """
     g = plan.group
     n = g.order
@@ -522,6 +551,7 @@ def _vector_shard(
     collect_tight = cfg.collect_tight and not cfg.ignore_applicability
     classes: dict[int, tuple] = {}
     class_size = None
+    chunk_wide = {(smask, 1) for smask in _FIXED_S.values()}  # tables that ignore S
 
     def popcounts(cmasks):
         return np.bitwise_count(_masks.union_table_batch(cmasks, n)).view(np.int8)
@@ -530,7 +560,8 @@ def _vector_shard(
         if m != class_size:
             class_size, classes = m, {}
         amasks = np.array(chunk, dtype=np.int64)
-        s_free: dict[Operator, np.ndarray] = {}  # plain/restricted tables ignore S
+        translates = None  # b + A for each row and b, built once the chunk has work
+        tables: dict[tuple[int, int], np.ndarray] = {}  # the operator's (S, gamma) -> lhs
         for h, s_list in s_by_size.items():
             if h not in classes:
                 classes[h] = _size_class(plan, cfg, m, h, sizes, in_b_range)
@@ -538,23 +569,17 @@ def _vector_shard(
             pairs = len(chunk) * len(s_list) * b_count
             res.pruned += pairs * pruned
             res.evaluated += pairs * (mult - pruned)
+            res.triples += pairs if mult > pruned else 0
             if not active:
                 continue
+            if translates is None:
+                translates = t.cmasks_general(amasks, 0)
             for smask in s_list:
-                general: dict[int, np.ndarray] = {}  # gamma -> lhs table for this S
                 for kind, gamma, rhs in active:
-                    op = kind.operator
-                    if op is Operator.PLAIN or op is Operator.RESTRICTED:
-                        if op not in s_free:
-                            # S = {} gives the plain sumset, S = {0} the restricted one
-                            sbits = 0 if op is Operator.PLAIN else 1
-                            s_free[op] = popcounts(t.cmasks_general(amasks, sbits))
-                        lhs = s_free[op]
-                    else:
-                        gm = 1 if gamma is None else gamma
-                        if gm not in general:
-                            general[gm] = popcounts(t.cmasks_general(amasks, smask, gm))
-                        lhs = general[gm]
+                    key = _operator_s_gamma(kind, smask, gamma)
+                    if key not in tables:
+                        tables[key] = popcounts(translates & ~t.exclusions(*key))
+                    lhs = tables[key]
                     diag = kind.info.equal_sets and not cfg.ignore_applicability
                     if cfg.collect_violations:
                         _harvest(res.violations, *_hits(np.less, lhs, rhs, amasks, n, diag),
@@ -562,6 +587,8 @@ def _vector_shard(
                     if collect_tight:
                         _harvest(res.tight, *_hits(np.equal, lhs, rhs, amasks, n, diag),
                                  chunk, smask, kind, gamma, lhs, rhs, n)
+                for key in tables.keys() - chunk_wide:
+                    del tables[key]
     return res
 
 
@@ -669,10 +696,8 @@ def _payload_report(plan: EnumerationPlan, payload: tuple, hypothesis_dropped: b
 
 
 def _normalize_gammas(plan: EnumerationPlan, kinds, gammas) -> tuple[int, ...]:
-    if not any(k.operator is Operator.TWISTED for k in kinds):
-        return ()
     g = plan.group
-    if not g.is_prime_cyclic:
+    if not g.is_prime_cyclic or not any(k.operator is Operator.TWISTED for k in kinds):
         return ()
     p = g.order
     if gammas is None:
@@ -696,8 +721,8 @@ def _run_sweep(
     shard_count: int,
     threads: int,
     planned: int,
-) -> tuple[_TopK, _TopK]:
-    """Run every shard and merge; the shards must account for all planned checks."""
+) -> tuple[_TopK, _TopK, int]:
+    """Run and merge every shard: (violations, tight, triples with an evaluated check)."""
     if shard_count < 1 or threads < 1:
         raise ValueError(f"shard_count and threads must be >= 1, got {shard_count} and {threads}")
     jobs = [(plan, cfg, i, shard_count) for i in range(shard_count)]
@@ -718,7 +743,7 @@ def _run_sweep(
     for r in results:
         violations.merge(r.violations)
         tight.merge(r.tight)
-    return violations, tight
+    return violations, tight, sum(r.triples for r in results)
 
 
 def exhaustive_verify(
@@ -737,9 +762,10 @@ def exhaustive_verify(
     """Check every enumerated triple against every applicable kind.
 
     The summary is deterministic and independent of shard_count/threads.
-    ``prune`` skips (|A|, |S|) classes whose trivial floor
-    max(|A|,|B|) - |S| already meets the largest possible rhs; it preserves
-    the violation report exactly but suppresses tight collection.
+    ``prune`` skips (|A|, |S|) classes whose trivial floor max(|A|,|B|) - |S|
+    already meets the largest possible rhs; it preserves the violation report
+    exactly, suppresses tight collection, and leaves out of ``triples_checked``
+    the triples of classes it skips for every kind.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -754,13 +780,13 @@ def exhaustive_verify(
     )
     checks = _planned_checks(plan, cfg, work_ceiling)
     start = time.perf_counter()
-    violations, tight = _run_sweep(plan, cfg, shard_count, threads, checks)
+    violations, tight, triples = _run_sweep(plan, cfg, shard_count, threads, checks)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return VerificationSummary(
         plan=plan,
         kinds=kinds,
         gammas=gammas,
-        triples_checked=plan.count_triples(),
+        triples_checked=triples,
         checks_planned=checks,
         violation_count=violations.total,
         tight_count=tight.total,
@@ -802,6 +828,6 @@ def search_witnesses(
         force_scalar=force_scalar,
     )
     checks = _planned_checks(plan, cfg, work_ceiling)
-    violations, tight = _run_sweep(plan, cfg, shard_count, threads, checks)
+    violations, tight, _ = _run_sweep(plan, cfg, shard_count, threads, checks)
     bucket = violations if counterexample else tight
     return [_payload_report(plan, p, counterexample) for p in bucket.sorted_payloads()]

@@ -202,20 +202,16 @@ def _threads(args) -> int:
     return 1
 
 
-def _parse_kinds(names: list[str]) -> list[BoundKind]:
+def _parse_kinds(names: list[str], group) -> list[BoundKind]:
+    """The named kinds in order; ``all`` leaves out twisted off Z_p, where it has no checks."""
     kinds: list[BoundKind] = []
     for name in names:
         if name == "all":
-            kinds.extend(ALL_KINDS)
+            kinds.extend(k for k in ALL_KINDS
+                         if group.is_prime_cyclic or k is not BoundKind.TWISTED_PAN_SUN)
         else:
             kinds.append(kind_from_name(name))
-    seen = set()
-    out = []
-    for k in kinds:
-        if k not in seen:
-            seen.add(k)
-            out.append(k)
-    return out
+    return list(dict.fromkeys(kinds))
 
 
 def _parse_gammas(raw, group) -> list[int] | None:
@@ -230,23 +226,24 @@ def _parse_gammas(raw, group) -> list[int] | None:
     return out
 
 
-def _require_twist_group(args, group, names: list[str]) -> None:
-    """Reject --gamma and a named twisted bound where no twisted check can run.
+def _require_twist_checks(args, group, kinds: list[BoundKind]) -> None:
+    """Reject --gamma and the twisted bound where no twisted check can run.
 
-    Off Z_p the sweep has no gammas, so it would drop the twisted bound and
-    report the other kinds only.  ``--bound all`` alone still sweeps them.
+    Off Z_p the sweep has no gammas and would drop the twisted bound without a
+    word; without a twisted bound it would drop --gamma the same way.
     """
-    twisted_named = BoundKind.TWISTED_PAN_SUN.value in names
-    if group.is_prime_cyclic or (args.gamma is None and not twisted_named):
-        return
-    raise ValueError(
-        f"no checks planned for the twisted bound (--gamma or --bound twisted): "
-        f"it needs a prime cyclic group, got {format_group(group)}"
-    )
+    twisted = BoundKind.TWISTED_PAN_SUN in kinds
+    if not group.is_prime_cyclic and (twisted or args.gamma is not None):
+        raise ValueError(
+            f"no checks planned for the twisted bound (--gamma or --bound twisted): "
+            f"it needs a prime cyclic group, got {format_group(group)}"
+        )
+    if args.gamma is not None and not twisted:
+        raise ValueError("no checks planned for --gamma: it only applies to --bound twisted")
 
 
 def _build_plan(args, group, kinds) -> EnumerationPlan:
-    s_free = all(not k.info.needs_s for k in kinds)
+    s_free = not any(k.reads_s for k in kinds)
     min_s = args.min_s
     max_s = args.max_s
     if min_s is None and max_s is None:
@@ -326,8 +323,8 @@ def _cmd_sumset(args, out: _Output) -> int:
 
 def _cmd_verify(args, out: _Output) -> int:
     group = parse_group(args.group)
-    kinds = _parse_kinds(args.bound)
-    _require_twist_group(args, group, args.bound)
+    kinds = _parse_kinds(args.bound, group)
+    _require_twist_checks(args, group, kinds)
     plan = _build_plan(args, group, kinds)
     gammas = _parse_gammas(args.gamma, group)
     threads = _threads(args)
@@ -350,7 +347,7 @@ def _cmd_verify(args, out: _Output) -> int:
 def _cmd_search(args, out: _Output) -> int:
     group = parse_group(args.group)
     kind = kind_from_name(args.bound)
-    _require_twist_group(args, group, [args.bound])
+    _require_twist_checks(args, group, [kind])
     plan = _build_plan(args, group, [kind])
     gammas = _parse_gammas(args.gamma, group)
     threads = _threads(args)

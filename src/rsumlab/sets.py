@@ -363,30 +363,3 @@ def canonicalize_triple(
         s = s.translate(g.neg(s_shift))
         b = b.translate(s_shift)
     return a, b, s
-
-
-def unit_scaling_representative(a: ElementSet, b: ElementSet, s: ElementSet):
-    """Orbit representative of a triple under unit scalings x -> u*x.
-
-    Scaling by any u coprime to |G| is an automorphism that maps A +_S B to
-    u*(A +_S B), so triples in one orbit are equivalent witnesses.  This is
-    a post-filter for deduplicating witness lists; enumeration itself only
-    ever reduces by translations.  The representative is the
-    lexicographically least (A, B, S) bitmap triple over all unit scalings,
-    after re-applying the translation normalizations.
-    """
-    g = a.group
-    n = g.order
-    best = None
-    for u in range(1, n):
-        if math.gcd(u, n) != 1:
-            continue
-        ua = a.image_under(lambda e: g.scale(u, e))
-        ub = b.image_under(lambda e: g.scale(u, e))
-        us = s.image_under(lambda e: g.scale(u, e))
-        ua, ub, us = canonicalize_triple(ua, ub, us, canonicalize=bool(ua.bits))
-        key = (ua.bits, ub.bits, us.bits)
-        if best is None or key < best[0]:
-            best = (key, (ua, ub, us))
-    assert best is not None
-    return best[1]

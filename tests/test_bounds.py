@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -226,11 +228,19 @@ class TestExhaustiveVerify:
     def test_prune_preserves_violation_report(self):
         for name, kind in (("Z8", BoundKind.PRIME_POWER_S), ("Z9", BoundKind.THM1)):
             g = rl.parse_group(name)
+            n = g.order
             plan = rl.EnumerationPlan(group=g, s_min=1, s_max=2)
             pruned = rl.exhaustive_verify(plan, [kind], prune=True)
             plain = rl.exhaustive_verify(plan, [kind], collect_tight=False)
             assert pruned.violation_count == plain.violation_count == 0
-            assert pruned.triples_checked == plain.triples_checked
+            assert plain.triples_checked == plan.count_triples()
+            # a pruned sweep counts only the triples of the classes it evaluated
+            kept = sum(
+                math.comb(n, m) * math.comb(n, h) * plan.b_count()
+                for m in range(1, n + 1) for h in (1, 2)
+                if not bounds._prunable(kind, m, h, plan, g.least_prime)
+            )
+            assert 0 < pruned.triples_checked == kept < plain.triples_checked
 
     def test_tight_implies_satisfied_and_reports_capped_sorted(self):
         g = rl.parse_group("Z5")
@@ -323,7 +333,8 @@ class TestShardAccounting:
         total = sum(r.evaluated + r.pruned for r in shards)
         assert total == summary.checks_planned == plan.count_triples() * 4
         pruned = sum(r.pruned for r in shards)
-        assert (pruned > 0) == (prune and not force_scalar)
+        assert (pruned > 0) == prune
+        assert sum(r.triples for r in shards) == summary.triples_checked
 
     def test_zero_planned_checks_raise(self):
         # the twisted bound has no gammas off Z_p, so alone it plans no checks
@@ -351,6 +362,49 @@ class TestShardAccounting:
         plan = rl.EnumerationPlan(group=g, s_min=1, s_max=1)
         with pytest.raises(RuntimeError, match="planned|plan has"):
             rl.exhaustive_verify(plan, [BoundKind.THM1])
+
+
+class TestPruneFloor:
+    @pytest.mark.parametrize("name", ["Z5", "Z6", "Z2xZ4"])
+    def test_floor_is_at_most_every_class_minimum(self, name):
+        # --prune skips a class when _min_lhs_floor meets the largest rhs, so the
+        # floor must be a lower bound on lhs in every (|A|, |B|, |S|) class;
+        # checked exhaustively for |S| <= 2, |S| = 0 included
+        g = rl.parse_group(name)
+        t = _masks.tables_for(g)
+        n = g.order
+        gammas = range(1, n) if g.is_prime_cyclic else ()
+        # the (S, gamma) each operator reads, from its definition: A + B is
+        # A +_{} B and the restricted sumset is A +_{0} B
+        reads = {
+            bounds.Operator.PLAIN: lambda smask: [(0, 1)],
+            bounds.Operator.RESTRICTED: lambda smask: [(1, 1)],
+            bounds.Operator.GENERAL: lambda smask: [(smask, 1)],
+            bounds.Operator.TWISTED: lambda smask: [(smask, gm) for gm in gammas],
+        }
+        s_masks = [smask for smask in range(1 << n) if smask.bit_count() <= 2]
+        order = np.argsort(t.pops, kind="stable")  # B masks by size
+        starts = np.searchsorted(t.pops[order], np.arange(n + 1))
+        least = {op: np.full((n + 1, 3, n + 1), n + 1) for op in reads}  # [|A|, |S|, |B|]
+        for abits in range(1, 1 << n):
+            m = abits.bit_count()
+            for op, read in reads.items():
+                rows = [(smask.bit_count(), sg) for smask in s_masks for sg in read(smask)]
+                if not rows:
+                    continue
+                cmasks = np.stack([t.cmasks_general(abits, *sg) for _, sg in rows])
+                lhs = t.pops[_masks.union_table_batch(cmasks, n)][:, order]
+                by_size = np.minimum.reduceat(lhs, starts, axis=1)  # min over B of each size
+                for h, row in zip((h for h, _ in rows), by_size):
+                    np.minimum(least[op][m, h], row, out=least[op][m, h])
+        # twisted has no checks off Z_p
+        kinds = [k for k in BoundKind if gammas or k.operator is not bounds.Operator.TWISTED]
+        for kind in kinds:
+            for m in range(1, n + 1):
+                for b in range(1, n + 1):
+                    for h in range(3):
+                        floor = bounds._min_lhs_floor(kind, m, b, h)
+                        assert floor <= least[kind.operator][m, h, b], (kind, m, b, h)
 
 
 def _chunk_budget(g, rows):

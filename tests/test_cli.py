@@ -246,17 +246,21 @@ class TestNonsenseCounts:
         assert "no checks planned" in err
 
     @pytest.mark.parametrize("argv", [
-        ("verify", "--bound", "thm1", "--bound", "twisted", "--gamma", "2"),
-        ("verify", "--bound", "thm1", "--bound", "twisted"),
-        ("verify", "--bound", "all", "--gamma", "2"),
-        ("verify", "--bound", "thm1", "--gamma", "all"),
-        ("search", "--bound", "thm1", "--gamma", "2"),
-        ("search", "--bound", "twisted", "--mode", "counterexample"),
+        ("verify", "Z6", "--bound", "thm1", "--bound", "twisted", "--gamma", "2"),
+        ("verify", "Z6", "--bound", "thm1", "--bound", "twisted"),
+        ("verify", "Z6", "--bound", "all", "--gamma", "2"),
+        ("verify", "Z6", "--bound", "thm1", "--gamma", "all"),
+        ("search", "Z6", "--bound", "thm1", "--gamma", "2"),
+        ("search", "Z6", "--bound", "twisted", "--mode", "counterexample"),
+        ("verify", "Z7", "--bound", "thm1", "--gamma", "2"),
+        ("search", "Z7", "--bound", "pansun", "--gamma", "3", "--mode", "counterexample"),
     ])
     def test_twisted_request_off_zp_exit_2(self, capsys, argv):
         # a sweep off Z_p has no gammas: it would drop the twisted bound and
-        # the --gamma values without a word
-        code, out, err = run_cli(capsys, argv[0], "--group", "Z6", *argv[1:], "--no-timing")
+        # the --gamma values without a word; on Z_p, --gamma without a
+        # twisted bound would be dropped the same way
+        command, group, *rest = argv
+        code, out, err = run_cli(capsys, command, "--group", group, *rest, "--no-timing")
         assert code == 2
         assert out == ""
         assert "no checks planned" in err
@@ -267,7 +271,9 @@ class TestNonsenseCounts:
             "--no-timing",
         )
         assert code == 0
-        assert out.startswith("group=Z6 kinds=cd,kneser,")
+        # twisted has no checks off Z_p, so the report does not name it
+        assert out.startswith("group=Z6 kinds=cd,kneser,eh,anr,karolyi,bw,pansun,thm1,ppow,"
+                              "thm2,prop34 ")
 
     @pytest.mark.parametrize("value", ["0", "-4"])
     def test_nonpositive_sample_exit_2(self, capsys, value):
@@ -306,6 +312,8 @@ GOLDEN_VERIFY_JSON = {
     ("Z2xZ4", "thm2"): "35b050586f6bf4c57df71907a34d906ceaf5a67d7a8bae46291168bc31c85fce",
     ("Z2xZ4", "prop34"): "96d13b0b16afa04f51370a1e81b16403b44d7a1660dc140691c62fad743d8e5c",
     ("Z2xZ4", "twisted"): None,
+    # `--bound all` names twisted only where it has checks: on Z_p
+    ("Z6", "all"): "d65c73d608d7f4926ce6eabee3235252a81b2dc100441d483d72c1029d871db2",
 }
 
 

@@ -150,6 +150,7 @@ class TestTwisted:
 
 @pytest.mark.parametrize("name,sbits,gamma", [
     ("Z2xZ4", 0, 1), ("Z2xZ4", 0b101, 1), ("Z7", 0, 3), ("Z7", 0b1001, 3), ("Z7", 1, 1),
+    ("Z7", 0b1001, 6), ("Z7", 1, 2),
 ])
 def test_batched_cmasks_match_per_mask_and_element_loop(name, sbits, gamma):
     g = rl.parse_group(name)

@@ -197,18 +197,3 @@ class TestEnumeration:
             rl.EnumerationPlan(group=g, s_min=3, s_max=2)
         with pytest.raises(ValueError):
             rl.EnumerationPlan(group=g, mode="sampled")
-
-
-class TestUnitScalingPostFilter:
-    def test_orbit_constant_and_cardinality_preserving(self):
-        g = rl.parse_group("Z7")
-        a = rl.parse_set(g, "{1,2,4}")
-        b = rl.parse_set(g, "{0,3}")
-        s = rl.parse_set(g, "{5}")
-        rep = rl.unit_scaling_representative(a, b, s)
-        base = rl.generalized_restricted_sumset(a, b, s).size
-        assert rl.generalized_restricted_sumset(*rep).size == base
-        for u in (2, 3, 6):
-            scaled = tuple(x.image_under(lambda e: g.scale(u, e)) for x in (a, b, s))
-            again = rl.unit_scaling_representative(*scaled)
-            assert [x.bits for x in again] == [x.bits for x in rep]
