@@ -1,11 +1,12 @@
 """Vectorized bitmap machinery for whole-powerset sweeps.
 
 Subsets of a group of order n are integer masks; a table of length 2**n can
-therefore hold one value per subset.  The core trick is an lsb recursion:
-``T[m] = T[m & (m-1)] combine C[lsb(m)]`` evaluated as n strided numpy
-assignments, which turns "for every subset B, the union of per-element
-contributions" into a few microseconds of work.  The verifier and the
-exhaustive invariant tests are built on these tables.
+therefore hold one value per subset.  The core trick is a doubling
+recursion: the masks in [2**b, 2**(b+1)) are the masks below 2**b with bit b
+added, so ``U[2**b:2**(b+1)] = U[:2**b] | C[b]`` fills the table in n
+contiguous numpy writes, which turns "for every subset B, the union of
+per-element contributions" into a few microseconds of work.  The verifier
+and the exhaustive invariant tests are built on these tables.
 
 Only orders up to MAX_TABLE_ORDER are supported (a 2**n table must fit in
 memory); everything here is internal API.
@@ -79,16 +80,15 @@ def union_table(cmasks: np.ndarray, n: int) -> np.ndarray:
 def union_table_batch(cmasks: np.ndarray, n: int) -> np.ndarray:
     """Row-wise union_table: cmasks is (k, n), result is (k, 2**n).
 
-    The lsb recursion: processing bit b from high to low, every mask whose
-    lowest set bit is b reads the already-final value of the mask with that
-    bit cleared.
+    The doubling recursion: with the masks below 2**b final, the block
+    [2**b, 2**(b+1)) is that prefix with bit b added, one contiguous write.
     """
-    k = cmasks.shape[0]
-    u = np.zeros((k, 1 << n), dtype=MASK_DTYPE)
+    u = np.empty((cmasks.shape[0], 1 << n), dtype=MASK_DTYPE)
+    u[:, 0] = 0
     c = cmasks.astype(MASK_DTYPE)
-    for b in range(n - 1, -1, -1):
-        step = 1 << (b + 1)
-        np.bitwise_or(u[:, ::step], c[:, b:b + 1], out=u[:, (1 << b)::step])
+    for b in range(n):
+        half = 1 << b
+        np.bitwise_or(u[:, :half], c[:, b:b + 1], out=u[:, half:2 * half])
     return u
 
 

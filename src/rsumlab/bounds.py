@@ -17,6 +17,7 @@ to add up to the plan.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import time
@@ -534,8 +535,9 @@ def _vector_shard(
 
     Union tables hold |A +_S B| for the whole chunk, one per (S, gamma) that
     the kinds' operators read; each is the chunk's translates b + A less the
-    exclusions (1+gamma)*b + S.  Pruning, rhs and applicability are settled
-    once per (|A|, |S|) class.
+    exclusions (1+gamma)*b + S, whose row is built once per shard.  Pruning,
+    rhs and applicability are settled once per (|A|, |S|) class, and each
+    table is compared with each rhs once.
     """
     g = plan.group
     n = g.order
@@ -552,6 +554,15 @@ def _vector_shard(
     classes: dict[int, tuple] = {}
     class_size = None
     chunk_wide = {(smask, 1) for smask in _FIXED_S.values()}  # tables that ignore S
+    # one comparison per table: lhs <= rhs when both collectors are on, split by lhs < rhs
+    both = cfg.collect_violations and collect_tight
+    cmp = np.less_equal if both else np.less if cfg.collect_violations else np.equal
+    only = res.violations if cfg.collect_violations else res.tight  # when not both
+
+    @functools.cache
+    def kept(smask, gamma):
+        """The bits each translate keeps at the operator's (S, gamma): ~exclusions."""
+        return (~t.exclusions(smask, gamma)).astype(_masks.MASK_DTYPE)
 
     def popcounts(cmasks):
         return np.bitwise_count(_masks.union_table_batch(cmasks, n)).view(np.int8)
@@ -578,15 +589,17 @@ def _vector_shard(
                 for kind, gamma, rhs in active:
                     key = _operator_s_gamma(kind, smask, gamma)
                     if key not in tables:
-                        tables[key] = popcounts(translates & ~t.exclusions(*key))
+                        tables[key] = popcounts(translates & kept(*key))
                     lhs = tables[key]
                     diag = kind.info.equal_sets and not cfg.ignore_applicability
-                    if cfg.collect_violations:
-                        _harvest(res.violations, *_hits(np.less, lhs, rhs, amasks, n, diag),
-                                 chunk, smask, kind, gamma, lhs, rhs, n)
-                    if collect_tight:
-                        _harvest(res.tight, *_hits(np.equal, lhs, rhs, amasks, n, diag),
-                                 chunk, smask, kind, gamma, lhs, rhs, n)
+                    rows, cols = _hits(cmp, lhs, rhs, amasks, n, diag)
+                    hit = (chunk, smask, kind, gamma, lhs, rhs, n)
+                    if not both:
+                        _harvest(only, rows, cols, *hit)
+                    elif rows.size:  # split the lhs <= rhs hits
+                        below = lhs[rows, cols] < rhs[cols]
+                        _harvest(res.violations, rows[below], cols[below], *hit)
+                        _harvest(res.tight, rows[~below], cols[~below], *hit)
                 for key in tables.keys() - chunk_wide:
                     del tables[key]
     return res

@@ -56,13 +56,6 @@ class CosetDecomposition:
     def part_count(self) -> int:
         return len(self.parts)
 
-    def reconstruct(self) -> ElementSet:
-        g = self.subgroup.group
-        out = ElementSet.empty(g)
-        for rep, fiber in self.parts:
-            out = out.union(fiber.translate(rep))
-        return out
-
 
 def coset_decompose(x: ElementSet, h: Subgroup) -> CosetDecomposition:
     """Split a non-empty set into its fibers over the cosets of a subgroup."""

@@ -41,9 +41,6 @@ class Subgroup:
     def __contains__(self, e: Element) -> bool:
         return e in self.members
 
-    def index_in_group(self) -> int:
-        return self.group.order // self.order
-
 
 def is_subgroup_set(s: ElementSet) -> bool:
     """True iff s contains the identity and is closed under addition.

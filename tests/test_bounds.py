@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -458,6 +460,45 @@ class TestChunkBoundaries:
             monkeypatch.setattr(bounds, "_CHUNK_BYTES", _chunk_budget(g, rows))
             small = rl.exhaustive_verify(plan, kinds, prune=True)
             assert small.to_json(include_timing=False) == slow
+
+
+class TestViolationsAndTightInOneTable:
+    """With thm1's rhs raised by 2, one table holds both violations and tight hits.
+
+    No true bound gives such a table, so this is the one place where the
+    kernel's single lhs <= rhs pass is split into both collectors.
+    """
+
+    @pytest.fixture(autouse=True)
+    def raised_thm1(self, monkeypatch):
+        info = bounds._KIND_INFO[K.THM1]
+        monkeypatch.setitem(bounds._KIND_INFO, K.THM1, dataclasses.replace(info, c0=info.c0 + 2))
+
+    @pytest.mark.parametrize("name,cap", [("Z5", None), ("Z2xZ4", 2)])
+    def test_vector_matches_scalar(self, monkeypatch, name, cap):
+        g = rl.parse_group(name)
+        plan = rl.EnumerationPlan(group=g, a_max=cap, b_max=cap, s_min=0, s_max=2)
+        mixed = rl.exhaustive_verify(plan, [K.THM1])
+        assert mixed.violation_count > 0 and mixed.tight_count > 0
+
+        def search(mode, **kw):
+            return json.dumps([r.to_row() for r in rl.search_witnesses(plan, K.THM1, mode, **kw)])
+
+        runs = {
+            "verify": lambda **kw: rl.exhaustive_verify(
+                plan, [K.THM1], **kw).to_json(include_timing=False),
+            "prune": lambda **kw: rl.exhaustive_verify(
+                plan, [K.THM1], prune=True, **kw).to_json(include_timing=False),
+            "tight": lambda **kw: search("tight", **kw),
+            "counterexample": lambda **kw: search("counterexample", **kw),
+        }
+        for what, run in runs.items():
+            slow = run(force_scalar=True)
+            assert run() == slow, what
+            for rows in (1, 3):
+                with monkeypatch.context() as mp:
+                    mp.setattr(bounds, "_CHUNK_BYTES", _chunk_budget(g, rows))
+                    assert run() == slow, (what, rows)
 
 
 class TestSearch:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rsumlab as rl
-from rsumlab import _masks
+from rsumlab import _masks, bounds
 from conftest import (
     o_add, o_index, o_map_bits, o_neg, o_perm, o_sub, oracle_sumset, perm_mask_table,
     set_of, translate_perm,
@@ -168,6 +168,22 @@ def test_batched_cmasks_match_per_mask_and_element_loop(name, sbits, gamma):
             want = sum(1 << int(t.add[x, b]) for x in range(n)
                        if abits >> x & 1 and x not in excluded)
             assert int(row[b]) == want, (name, abits, b)
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 14])
+def test_union_table_is_or_over_set_bits(n):
+    rng = np.random.default_rng(n)
+    masks = np.arange(1 << n)
+    for k in (1, 3, bounds._chunk_rows(n)):
+        cmasks = rng.integers(0, 1 << n, size=(k, n))
+        u = _masks.union_table_batch(cmasks, n)
+        assert u.shape == (k, 1 << n) and u.dtype == _masks.MASK_DTYPE
+        assert not u[:, 0].any()
+        # U[m] is the OR of cmasks[b] over the set bits b of m
+        want = np.zeros((k, 1 << n), dtype=np.int64)
+        for b in range(n):
+            want |= np.where(masks >> b & 1, cmasks[:, b:b + 1], 0)
+        assert np.array_equal(u, want), (n, k)
 
 
 def _size_table(t, abits, sbits, gamma=1):

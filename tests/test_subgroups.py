@@ -61,4 +61,3 @@ class TestSubgroupType:
         g = rl.parse_group("Z6")
         h = rl.Subgroup.from_set(rl.parse_set(g, "{0,3}"))
         assert h.order == 2
-        assert h.index_in_group() == 3
