@@ -49,13 +49,15 @@ class MaskTables:
 
         ``abits`` is one mask (result shape ``(n,)``) or an array of k masks
         (result shape ``(k, n)``).  With S = {} the result is the translates
-        b + A alone.
+        b + A alone, with no exclusion applied.
         """
         members = np.asarray(abits, dtype=np.int64)[..., None] >> np.arange(self.n) & 1
         # member x of A lands on bit add[x][b] of b + A; for fixed b these bits
         # are distinct, so their sum is their union
         translates = (members[..., None] << self.add).sum(axis=-2)
-        return (translates & ~self.exclusions(sbits, gamma)).astype(MASK_DTYPE)
+        if sbits:
+            translates &= ~self.exclusions(sbits, gamma)
+        return translates.astype(MASK_DTYPE)
 
     def exclusions(self, sbits: int, gamma: int = 1) -> np.ndarray:
         """E[b] = mask of (1+gamma)*b + S for each element index b."""

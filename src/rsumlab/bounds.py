@@ -5,8 +5,9 @@ of the four operators, so the catalog is one table of coefficients and
 hypotheses per kind, and one rule reads the hypotheses for both paths.
 Exhaustive sweeps take a chunk of same-size A masks and one S and evaluate
 all B at once through the mask tables in ``_masks``; a scalar fallback walks
-the triple stream one check at a time and is kept bit-for-bit consistent
-with the vectorized path (tests compare the two).
+the triple stream one triple at a time, evaluating each operator once per
+triple by the engine's pair loop, and is kept bit-for-bit consistent with
+the vectorized path (tests compare the two).
 
 Sweeps shard over the position of A in the enumeration stream.  Merging is
 order-independent: counters add up and witness lists are re-sorted by a
@@ -406,6 +407,12 @@ def _shard_worker(args) -> _ShardResult:
 def _scalar_shard(
     plan: EnumerationPlan, cfg: _SweepConfig, shard_index: int, shard_count: int
 ) -> _ShardResult:
+    """Walk the shard's triples one at a time, each operator once per triple.
+
+    A check that does not apply is neither violated nor tight, so it needs no
+    lhs; the others share one lhs per (S, gamma) that ``_operator_s_gamma``
+    gives, computed by the engine's pair loop, not by mask tables.
+    """
     g = plan.group
     res = _ShardResult(_TopK(cfg.max_witnesses), _TopK(cfg.max_witnesses))
     collect_tight = cfg.collect_tight and not cfg.ignore_applicability
@@ -416,21 +423,26 @@ def _scalar_shard(
         if (m, h) not in skipped:
             skipped[m, h] = {k for k in cfg.kinds if cfg.prune and _prunable(k, m, h, plan, p)}
         evaluated = res.evaluated
+        lhs_by_rule: dict[tuple[int, int], int] = {}  # the operator's (S, gamma) -> lhs
         for kind in cfg.kinds:
             if kind in skipped[m, h]:
                 res.pruned += len(_kind_gammas(kind, cfg))
                 continue
             for gamma in _kind_gammas(kind, cfg):
-                rep = check_triple(g, a, b, s, kind, gamma)
                 res.evaluated += 1
-                violated = cfg.collect_violations and (
-                    rep.lhs < rep.rhs if cfg.ignore_applicability else not rep.satisfied
-                )
-                tight = collect_tight and rep.tight
+                if not (cfg.ignore_applicability or applicability(kind, g, a, b, s, gamma)[0]):
+                    continue
+                rule = _operator_s_gamma(kind, s.bits, gamma)
+                if rule not in lhs_by_rule:
+                    lhs_by_rule[rule] = operator_lhs(kind, a, b, s, gamma)
+                lhs = lhs_by_rule[rule]
+                rhs = bound_value(kind, m, b.size, h, p)
+                violated = cfg.collect_violations and lhs < rhs
+                tight = collect_tight and lhs == rhs
                 if not (violated or tight):
                     continue
                 key = _triple_key(g.order, a.bits, b.bits, s.bits, kind, gamma)
-                payload = (a.bits, b.bits, s.bits, kind.value, gamma, rep.lhs, rep.rhs)
+                payload = (a.bits, b.bits, s.bits, kind.value, gamma, lhs, rhs)
                 if violated:
                     res.violations.record(key, payload)
                 if tight:

@@ -202,6 +202,38 @@ class TestExhaustiveVerify:
         kinds = (K.TWISTED_PAN_SUN, K.THM2, K.PAN_SUN)
         _assert_paths_agree(monkeypatch, "Z7", 2, 2, kinds, gammas=[2, 6])
 
+    def test_scalar_and_vector_paths_agree_at_gamma_one(self, monkeypatch):
+        # twisted at gamma = 1 reads the general operator's (S, gamma), so
+        # the scalar path serves it and thm1 from one evaluation
+        kinds = (K.TWISTED_PAN_SUN, K.THM1, K.PAN_SUN)
+        _assert_paths_agree(monkeypatch, "Z7", 2, 2, kinds, gammas=[1, 3])
+
+    # Z13: plain, restricted, general, and twisted at 2 and at 3; Z2xZ6 has
+    # no twisted checks.  A check per (kind, gamma) makes 13 and 11.
+    @pytest.mark.parametrize("name,per_triple", [("Z13", 5), ("Z2xZ6", 3)])
+    def test_scalar_path_evaluates_each_operator_once_per_triple(
+        self, monkeypatch, name, per_triple
+    ):
+        calls = []
+        operator_lhs = bounds.operator_lhs
+
+        def counting(*args):
+            calls.append(args)
+            return operator_lhs(*args)
+
+        def check_triple(*args):
+            raise AssertionError("the scalar sweep must not check one (kind, gamma) at a time")
+
+        monkeypatch.setattr(bounds, "operator_lhs", counting)
+        monkeypatch.setattr(bounds, "check_triple", check_triple)
+        g = rl.parse_group(name)
+        plan = rl.EnumerationPlan(
+            group=g, mode="sampled", sample_count=200, seed=5, s_min=1, s_max=3
+        )
+        summary = rl.exhaustive_verify(plan, bounds.ALL_KINDS, gammas=(2, 3))
+        assert summary.triples_checked == 200
+        assert 0 < len(calls) <= per_triple * summary.triples_checked
+
     def test_scalar_and_vector_agree_canonicalized(self):
         g = rl.parse_group("Z6")
         plan = rl.EnumerationPlan(group=g, s_min=1, s_max=2, canonicalize=True)

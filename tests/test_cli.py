@@ -332,6 +332,30 @@ class TestGoldenVerifyJson:
             assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+# sha256 of sampled `verify`/`search` runs with `--no-timing --format json`,
+# which take the scalar per-triple path for every kind
+GOLDEN_SAMPLED_JSON = {
+    "verify --group Z13 --bound all --gamma all --sample 500 --seed 3 --min-s 1 --max-s 3":
+        "0f84d8598a6888b2bc4f52c454f0bca023e85147d0c06a8b1a00dc6fa77e6650",
+    "verify --group Z2xZ6 --bound all --sample 500 --seed 3 --min-s 0 --max-s 3":
+        "0795ed31f65b5d071d1207054f679f52a48a030624276a2f36810580a4e7cb2f",
+    "search --group Z13 --bound thm2 --mode counterexample --sample 500 --seed 3 "
+    "--min-s 1 --max-s 2":
+        "97d5e3d2224eae62e6c6c3e3fdbeb66efdf7f9b5c649b5d00abaa15c48072490",
+    "search --group Z7 --bound twisted --gamma 1 --gamma 6 --sample 300 --seed 3 "
+    "--min-s 1 --max-s 2":
+        "a2039370e2d5a488976eb1844c15d523215d9da95ca0da4cd80f707838f338a1",
+}
+
+
+class TestGoldenSampledJson:
+    @pytest.mark.parametrize("argv", sorted(GOLDEN_SAMPLED_JSON))
+    def test_bytes_match(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv.split(), "--no-timing", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SAMPLED_JSON[argv]
+
+
 class TestSearchCommand:
     def test_tight_text(self, capsys):
         code, out, _ = run_cli(
