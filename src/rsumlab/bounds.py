@@ -2,7 +2,9 @@
 
 Every bound has the shape  lhs >= min(linear(|A|, |B|, |S|), p(G))  for one
 of the four operators, so the catalog is one table of coefficients and
-hypotheses per kind, and one rule reads the hypotheses for both paths.
+hypotheses per kind.  Since hypotheses and rhs depend only on the sizes, one
+check plan per size class (``_size_class``) says which (kind, gamma) checks
+run, at what rhs, and whether B must equal A; both sweep paths read it.
 Exhaustive sweeps take a chunk of same-size A masks and one S and evaluate
 all B at once through the mask tables in ``_masks``; a scalar fallback walks
 the triple stream one triple at a time, evaluating each operator once per
@@ -252,9 +254,16 @@ class BoundReport:
     rhs: int
     applicable: bool
     reason: str
-    satisfied: bool
-    tight: bool
     hypothesis_dropped: bool = False
+
+    @property
+    def satisfied(self) -> bool:
+        """A bound that does not apply is met by every lhs."""
+        return not self.applicable or self.lhs >= self.rhs
+
+    @property
+    def tight(self) -> bool:
+        return self.applicable and self.lhs == self.rhs
 
     def to_row(self) -> dict:
         return {
@@ -284,11 +293,9 @@ def check_triple(
     lhs = operator_lhs(kind, a, b, s, gamma)
     rhs = bound_value(kind, a.size, b.size, s.size, group.least_prime)
     applicable, reason = applicability(kind, group, a, b, s, gamma)
-    satisfied = (not applicable) or lhs >= rhs
-    tight = applicable and lhs == rhs
     return BoundReport(
         kind=kind, a=a, b=b, s=s, gamma=gamma, lhs=lhs, rhs=rhs,
-        applicable=applicable, reason=reason, satisfied=satisfied, tight=tight,
+        applicable=applicable, reason=reason,
     )
 
 
@@ -352,6 +359,12 @@ def _triple_key(order: int, amask: int, bmask: int, smask: int, kind: BoundKind,
     return (key * len(ALL_KINDS) + _KIND_POSITION[kind]) * (order + 2) + code
 
 
+def _witness(order, amask, bmask, smask, kind, gamma, lhs, rhs) -> tuple[int, tuple]:
+    """A hit's (key, payload); ``_payload_report`` turns the payload into a report."""
+    key = _triple_key(order, amask, bmask, smask, kind, gamma)
+    return key, (amask, bmask, smask, kind.value, gamma, lhs, rhs)
+
+
 def _kind_gammas(kind: BoundKind, cfg: _SweepConfig) -> tuple:
     """The gammas a kind is checked at: the sweep's for twisted, (None,) otherwise."""
     return cfg.gammas if kind.operator is Operator.TWISTED else (None,)
@@ -367,6 +380,51 @@ def _prunable(kind: BoundKind, m: int, h: int, plan: EnumerationPlan, p: int) ->
     return _min_lhs_floor(kind, m, plan.b_min, h) >= bound_value(kind, m, plan.b_max, h, p)
 
 
+def _size_class(plan: EnumerationPlan, cfg: _SweepConfig, m: int, h: int, b_sizes):
+    """The check plan of the (|A|, |S|) = (m, h) class at the |B| values ``b_sizes``.
+
+    Returns (checks, evaluated, pruned): each triple of the class has
+    ``evaluated`` (kind, gamma) checks, and --prune skips ``pruned`` more.
+    Each check is (kind, gamma, same, rhs): ``same`` says only B = A is
+    checked, and ``rhs`` lists the bound at each |B| in ``b_sizes`` as Python
+    ints.  An rhs is -1 where |B| is outside the plan, a hypothesis fails
+    (unless they are ignored) or the bound is <= -1, so no lhs is below or
+    equal to it there; an evaluated check that is -1 at every |B| is left out.
+    """
+    g = plan.group
+    p = g.least_prime
+    checks = []
+    evaluated = pruned = 0
+    for kind in cfg.kinds:
+        gammas = _kind_gammas(kind, cfg)
+        if cfg.prune and _prunable(kind, m, h, plan, p):
+            pruned += len(gammas)
+            continue
+        evaluated += len(gammas)
+        bound = [
+            max(bound_value(kind, m, k, h, p), -1) if plan.b_min <= k <= plan.b_max else -1
+            for k in b_sizes
+        ]
+        same = kind.info.equal_sets and not cfg.ignore_applicability
+        for gamma in gammas:
+            rhs = bound
+            if not cfg.ignore_applicability:
+                ok = _applicable_vector(kind, g, m, h, gamma, b_sizes)
+                rhs = [r if applies else -1 for r, applies in zip(bound, ok)]
+            if max(rhs) >= 0:
+                checks.append((kind, gamma, same, rhs))
+    return checks, evaluated, pruned
+
+
+def _applicable_vector(kind, g, m, h, gamma, sizes):
+    """Whether the hypotheses hold at |A| = m, |S| = h and each |B| in ``sizes``.
+
+    For ``equal_sets`` kinds this only says |B| = |A|; the caller must still
+    restrict to B = A.
+    """
+    return [not _failed_hypothesis(kind, g, m, b, h, gamma) for b in sizes]
+
+
 @dataclass
 class _ShardResult:
     violations: _TopK
@@ -374,6 +432,12 @@ class _ShardResult:
     evaluated: int = 0  # (A, B, S, kind, gamma) checks decided by this shard
     pruned: int = 0  # checks skipped because their (|A|, |S|) class was pruned
     triples: int = 0  # (A, B, S) triples with at least one evaluated check
+
+    def count(self, k: int, evaluated: int, pruned: int) -> None:
+        """Count k triples of a size class, each with these evaluated and pruned checks."""
+        self.evaluated += k * evaluated
+        self.pruned += k * pruned
+        self.triples += k if evaluated else 0
 
 
 def _planned_checks(plan: EnumerationPlan, cfg: _SweepConfig, work_ceiling: int) -> int:
@@ -407,47 +471,32 @@ def _shard_worker(args) -> _ShardResult:
 def _scalar_shard(
     plan: EnumerationPlan, cfg: _SweepConfig, shard_index: int, shard_count: int
 ) -> _ShardResult:
-    """Walk the shard's triples one at a time, each operator once per triple.
+    """Walk the shard's triples one at a time against the check plan at their sizes.
 
-    A check that does not apply is neither violated nor tight, so it needs no
-    lhs; the others share one lhs per (S, gamma) that ``_operator_s_gamma``
-    gives, computed by the engine's pair loop, not by mask tables.
+    The plan is built once per (|A|, |B|, |S|).  Its checks share one lhs per
+    (S, gamma) that ``_operator_s_gamma`` gives, computed by the engine's pair
+    loop, not by mask tables, so this path is the reference for the kernel's.
     """
-    g = plan.group
+    n = plan.group.order
     res = _ShardResult(_TopK(cfg.max_witnesses), _TopK(cfg.max_witnesses))
-    collect_tight = cfg.collect_tight and not cfg.ignore_applicability
-    p = g.least_prime
-    skipped: dict[tuple[int, int], set] = {}  # (|A|, |S|) -> the kinds --prune skips
+    classes: dict[tuple[int, int, int], tuple] = {}  # (|A|, |B|, |S|) -> check plan
     for a, b, s in enumerate_triples(plan, shard_index, shard_count):
-        m, h = a.size, s.size
-        if (m, h) not in skipped:
-            skipped[m, h] = {k for k in cfg.kinds if cfg.prune and _prunable(k, m, h, plan, p)}
-        evaluated = res.evaluated
+        sizes = a.size, b.size, s.size
+        if sizes not in classes:
+            classes[sizes] = _size_class(plan, cfg, a.size, s.size, [b.size])
+        checks, evaluated, pruned = classes[sizes]
+        res.count(1, evaluated, pruned)
         lhs_by_rule: dict[tuple[int, int], int] = {}  # the operator's (S, gamma) -> lhs
-        for kind in cfg.kinds:
-            if kind in skipped[m, h]:
-                res.pruned += len(_kind_gammas(kind, cfg))
+        for kind, gamma, same, (rhs,) in checks:
+            if same and a.bits != b.bits:
                 continue
-            for gamma in _kind_gammas(kind, cfg):
-                res.evaluated += 1
-                if not (cfg.ignore_applicability or applicability(kind, g, a, b, s, gamma)[0]):
-                    continue
-                rule = _operator_s_gamma(kind, s.bits, gamma)
-                if rule not in lhs_by_rule:
-                    lhs_by_rule[rule] = operator_lhs(kind, a, b, s, gamma)
-                lhs = lhs_by_rule[rule]
-                rhs = bound_value(kind, m, b.size, h, p)
-                violated = cfg.collect_violations and lhs < rhs
-                tight = collect_tight and lhs == rhs
-                if not (violated or tight):
-                    continue
-                key = _triple_key(g.order, a.bits, b.bits, s.bits, kind, gamma)
-                payload = (a.bits, b.bits, s.bits, kind.value, gamma, lhs, rhs)
-                if violated:
-                    res.violations.record(key, payload)
-                if tight:
-                    res.tight.record(key, payload)
-        res.triples += res.evaluated > evaluated
+            rule = _operator_s_gamma(kind, s.bits, gamma)
+            if rule not in lhs_by_rule:
+                lhs_by_rule[rule] = operator_lhs(kind, a, b, s, gamma)
+            lhs = lhs_by_rule[rule]
+            if (lhs < rhs and cfg.collect_violations) or (lhs == rhs and cfg.collect_tight):
+                collector = res.violations if lhs < rhs else res.tight
+                collector.record(*_witness(n, a.bits, b.bits, s.bits, kind, gamma, lhs, rhs))
     return res
 
 
@@ -480,38 +529,9 @@ def _a_chunks(plan: EnumerationPlan, shard_index: int, shard_count: int, rows: i
         yield size, chunk
 
 
-def _size_class(plan, cfg, m, h, sizes, in_b_range):
-    """Per-(|A|, |S|) work: the (kind, gamma, rhs) checks to run, and the number pruned.
-
-    ``rhs`` is an int8 vector over B that is -1 wherever B is outside the plan
-    or the bound does not apply, so neither lhs < rhs nor lhs == rhs holds there.
-    """
-    g = plan.group
-    p = g.least_prime
-    active = []
-    pruned = 0
-    for kind in cfg.kinds:
-        gammas = _kind_gammas(kind, cfg)
-        if cfg.prune and _prunable(kind, m, h, plan, p):
-            pruned += len(gammas)
-            continue
-        by_size = [max(bound_value(kind, m, b, h, p), -1) for b in range(g.order + 1)]
-        rhs = np.array(by_size)[sizes]
-        for gamma in gammas:
-            if cfg.ignore_applicability:
-                app = in_b_range
-            else:
-                ok = _applicable_vector(kind, g, m, h, gamma, sizes)
-                if ok is None:
-                    continue
-                app = in_b_range & ok
-            active.append((kind, gamma, np.where(app, rhs, -1).astype(np.int8)))
-    return active, pruned
-
-
-def _hits(cmp, lhs, rhs, amasks, n, diag):
-    """(chunk rows, B masks) where cmp(lhs, rhs) holds; only B = A when ``diag``."""
-    if diag:
+def _hits(cmp, lhs, rhs, amasks, n, same):
+    """(chunk rows, B masks) where cmp(lhs, rhs) holds; only B = A when ``same``."""
+    if same:
         r = np.flatnonzero(cmp(lhs[np.arange(amasks.size), amasks], rhs[amasks]))
         return r, amasks[r]
     idx = np.flatnonzero(cmp(lhs, rhs))  # far faster than a 2-d nonzero
@@ -534,10 +554,8 @@ def _harvest(collector: _TopK, rows, cols, chunk, smask, kind, gamma, lhs, rhs, 
             skip = thresh is not None and _triple_key(n, chunk[r], 0, 0, kind, gamma) >= thresh
         if skip:
             continue
-        collector.offer(
-            _triple_key(n, chunk[r], bmask, smask, kind, gamma),
-            (chunk[r], bmask, smask, kind.value, gamma, int(lhs[r, bmask]), int(rhs[bmask])),
-        )
+        lhs_r, rhs_r = int(lhs[r, bmask]), int(rhs[bmask])
+        collector.offer(*_witness(n, chunk[r], bmask, smask, kind, gamma, lhs_r, rhs_r))
 
 
 def _vector_shard(
@@ -547,27 +565,23 @@ def _vector_shard(
 
     Union tables hold |A +_S B| for the whole chunk, one per (S, gamma) that
     the kinds' operators read; each is the chunk's translates b + A less the
-    exclusions (1+gamma)*b + S, whose row is built once per shard.  Pruning,
-    rhs and applicability are settled once per (|A|, |S|) class, and each
-    table is compared with each rhs once.
+    exclusions (1+gamma)*b + S, whose row is built once per shard.  The check
+    plan of each (|A|, |S|) class is read out over B through an int8 copy
+    indexed by the B popcounts, and each table is compared with each rhs once.
     """
     g = plan.group
     n = g.order
     t = _masks.tables_for(g)
-    sizes = t.pops.astype(np.int64)
-    in_b_range = (sizes >= plan.b_min) & (sizes <= plan.b_max)
     b_count = plan.b_count()
     res = _ShardResult(_TopK(cfg.max_witnesses), _TopK(cfg.max_witnesses))
-    mult = sum(len(_kind_gammas(k, cfg)) for k in cfg.kinds)
     s_by_size: dict[int, list[int]] = {}
     for smask in plan_s_masks(plan):
         s_by_size.setdefault(smask.bit_count(), []).append(smask)
-    collect_tight = cfg.collect_tight and not cfg.ignore_applicability
     classes: dict[int, tuple] = {}
     class_size = None
     chunk_wide = {(smask, 1) for smask in _FIXED_S.values()}  # tables that ignore S
     # one comparison per table: lhs <= rhs when both collectors are on, split by lhs < rhs
-    both = cfg.collect_violations and collect_tight
+    both = cfg.collect_violations and cfg.collect_tight
     cmp = np.less_equal if both else np.less if cfg.collect_violations else np.equal
     only = res.violations if cfg.collect_violations else res.tight  # when not both
 
@@ -587,24 +601,23 @@ def _vector_shard(
         tables: dict[tuple[int, int], np.ndarray] = {}  # the operator's (S, gamma) -> lhs
         for h, s_list in s_by_size.items():
             if h not in classes:
-                classes[h] = _size_class(plan, cfg, m, h, sizes, in_b_range)
-            active, pruned = classes[h]
-            pairs = len(chunk) * len(s_list) * b_count
-            res.pruned += pairs * pruned
-            res.evaluated += pairs * (mult - pruned)
-            res.triples += pairs if mult > pruned else 0
-            if not active:
+                checks, evaluated, pruned = _size_class(plan, cfg, m, h, range(n + 1))
+                checks = [(kind, gamma, same, np.array(rhs, dtype=np.int8)[t.pops])
+                          for kind, gamma, same, rhs in checks]
+                classes[h] = checks, evaluated, pruned
+            checks, evaluated, pruned = classes[h]
+            res.count(len(chunk) * len(s_list) * b_count, evaluated, pruned)
+            if not checks:
                 continue
             if translates is None:
                 translates = t.cmasks_general(amasks, 0)
             for smask in s_list:
-                for kind, gamma, rhs in active:
+                for kind, gamma, same, rhs in checks:
                     key = _operator_s_gamma(kind, smask, gamma)
                     if key not in tables:
                         tables[key] = popcounts(translates & kept(*key))
                     lhs = tables[key]
-                    diag = kind.info.equal_sets and not cfg.ignore_applicability
-                    rows, cols = _hits(cmp, lhs, rhs, amasks, n, diag)
+                    rows, cols = _hits(cmp, lhs, rhs, amasks, n, same)
                     hit = (chunk, smask, kind, gamma, lhs, rhs, n)
                     if not both:
                         _harvest(only, rows, cols, *hit)
@@ -615,18 +628,6 @@ def _vector_shard(
                 for key in tables.keys() - chunk_wide:
                     del tables[key]
     return res
-
-
-def _applicable_vector(kind, g, m, h, gamma, sizes):
-    """Per-B applicability for |A| = m, |S| = h as a bool vector over B masks.
-
-    The hypothesis rule is evaluated once per |B| and read out through
-    ``sizes``, the popcount of every B mask.  None when no B applies.  For
-    ``equal_sets`` kinds the vector only says |B| = |A|; the caller must still
-    restrict to B = A.
-    """
-    ok = np.array([not _failed_hypothesis(kind, g, m, b, h, gamma) for b in range(g.order + 1)])
-    return ok[sizes] if ok.any() else None
 
 
 # -- public sweep entry points ---------------------------------------------------
@@ -712,11 +713,9 @@ def _payload_report(plan: EnumerationPlan, payload: tuple, hypothesis_dropped: b
         applicable, reason = True, "hypotheses deliberately dropped"
     else:
         applicable, reason = applicability(kind, g, a, b, s, gamma)
-    satisfied = (not applicable) or lhs >= rhs
     return BoundReport(
         kind=kind, a=a, b=b, s=s, gamma=gamma, lhs=lhs, rhs=rhs,
-        applicable=applicable, reason=reason, satisfied=satisfied,
-        tight=applicable and lhs == rhs, hypothesis_dropped=hypothesis_dropped,
+        applicable=applicable, reason=reason, hypothesis_dropped=hypothesis_dropped,
     )
 
 
@@ -732,11 +731,6 @@ def _normalize_gammas(plan: EnumerationPlan, kinds, gammas) -> tuple[int, ...]:
     out = sorted({v % p for v in vals})
     if any(v == 0 for v in out):
         raise ValueError("gamma must be non-zero modulo p")
-    if (plan.canonicalize or plan.canonicalize_s) and any(v != 1 for v in out):
-        raise ValueError(
-            "canonicalized enumeration is unsound for twisted bounds with gamma != 1; "
-            "disable canonicalization"
-        )
     return tuple(out)
 
 

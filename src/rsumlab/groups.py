@@ -31,16 +31,7 @@ class GroupError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and least_prime_factor(n) == n
 
 
 def least_prime_factor(n: int) -> int:
@@ -162,7 +153,7 @@ class GroupSpec:
 
     @property
     def is_prime_cyclic(self) -> bool:
-        return is_prime(self.order)
+        return self.least_prime == self.order
 
     @property
     def is_cyclic_prime_power(self) -> bool:

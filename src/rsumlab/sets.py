@@ -351,7 +351,10 @@ def canonicalize_triple(
 
     A and B are translated together so A's minimum element index becomes 0
     (S is unchanged); with ``canonicalize_s`` a second translation moves S to
-    contain 0, shifting B.  Both leave |A +_S B| unchanged.
+    contain 0, shifting B.  Both leave |A +_S B| unchanged.  The twisted
+    operator at gamma != 1 keeps its size when B moves by x/gamma instead, so
+    there the canonical triple's lhs can differ from the drawn one's; the
+    canonical triple is the one checked and reported.
     """
     g = a.group
     if canonicalize and a.bits:

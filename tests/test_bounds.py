@@ -10,6 +10,7 @@ import pytest
 import rsumlab as rl
 from rsumlab import _masks, bounds
 from rsumlab.bounds import BoundKind
+from rsumlab.sets import plan_a_masks, plan_b_masks, plan_s_masks
 from conftest import set_of
 
 
@@ -308,14 +309,6 @@ class TestExhaustiveVerify:
                 dual = rl.check_triple(g, b.negate(), a.negate(), s, kind).lhs
                 assert lhs == dual
 
-    def test_gamma_canonicalize_rejected(self):
-        g = rl.parse_group("Z7")
-        plan = rl.EnumerationPlan(group=g, s_min=1, s_max=1, canonicalize=True)
-        with pytest.raises(ValueError):
-            rl.exhaustive_verify(plan, [BoundKind.TWISTED_PAN_SUN])
-        # gamma = 1 stays sound under diagonal translation
-        rl.exhaustive_verify(plan, [BoundKind.TWISTED_PAN_SUN], gammas=[1])
-
     def test_sampled_mode(self):
         g = rl.parse_group("Z12")
         plan = rl.EnumerationPlan(
@@ -531,6 +524,132 @@ class TestViolationsAndTightInOneTable:
                 with monkeypatch.context() as mp:
                     mp.setattr(bounds, "_CHUNK_BYTES", _chunk_budget(g, rows))
                     assert run() == slow, (what, rows)
+
+
+class TestTwistedCanonicalization:
+    """(A, B, S) -> (A - x, B - x/gamma, S) keeps the twisted lhs for gamma != 0.
+
+    The canonical streams pin 0 in A (and in S) but enumerate every B, so
+    they reach every lhs value of the full stream; checked on Z7.
+    """
+
+    GAMMAS = (2, 3, 4, 5)
+
+    def test_translates_keep_twisted_lhs(self):
+        g = rl.parse_group("Z7")
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            a, b = (rl.ElementSet(g, int(rng.integers(1, 1 << 7))) for _ in range(2))
+            s = rl.ElementSet.from_indices(g, rng.choice(7, size=int(rng.integers(1, 3)),
+                                                         replace=False).tolist())
+            for gamma in self.GAMMAS:
+                want = bounds.operator_lhs(K.TWISTED_PAN_SUN, a, b, s, gamma)
+                for x in g.elements():
+                    shift = g.neg(x)
+                    moved_b = b.translate(g.scale(pow(gamma, -1, 7), shift))
+                    got = bounds.operator_lhs(K.TWISTED_PAN_SUN, a.translate(shift), moved_b,
+                                              s, gamma)
+                    assert got == want, (a, b, s, gamma, x)
+
+    def test_canonical_streams_reach_every_lhs(self):
+        g = rl.parse_group("Z7")
+        t = _masks.tables_for(g)
+        pops = t.pops.astype(np.int64)
+
+        def lhs_by_class(gamma, **canon):
+            """Every (|A|, |B|, |S|, lhs) the stream reaches, as one integer each."""
+            plan = rl.EnumerationPlan(group=g, a_max=4, b_max=4, s_min=1, s_max=2, **canon)
+            amasks = np.array(list(plan_a_masks(plan)), dtype=np.int64)
+            bmasks = np.array(list(plan_b_masks(plan)), dtype=np.int64)
+            sizes = pops[amasks][:, None] * 8 + pops[bmasks][None, :]
+            seen = set()
+            for smask in plan_s_masks(plan):
+                cmasks = t.cmasks_general(amasks, smask, gamma)
+                lhs = pops[_masks.union_table_batch(cmasks, g.order)][:, bmasks]
+                seen |= set(np.unique((sizes * 8 + smask.bit_count()) * 8 + lhs).tolist())
+            return seen
+
+        for gamma in self.GAMMAS:
+            full = lhs_by_class(gamma)
+            assert lhs_by_class(gamma, canonicalize=True) == full
+            assert lhs_by_class(gamma, canonicalize=True, canonicalize_s=True) == full
+
+    @pytest.mark.parametrize("canonicalize_s", [False, True])
+    def test_canonical_twisted_sweeps(self, canonicalize_s):
+        g = rl.parse_group("Z7")
+        plan = rl.EnumerationPlan(group=g, a_max=3, b_max=3, s_min=1, s_max=2,
+                                  canonicalize=True, canonicalize_s=canonicalize_s)
+        gammas = [1, *self.GAMMAS]
+        fast = rl.exhaustive_verify(plan, [K.TWISTED_PAN_SUN], gammas=gammas)
+        slow = rl.exhaustive_verify(plan, [K.TWISTED_PAN_SUN], gammas=gammas,
+                                    force_scalar=True)
+        assert fast.violation_count == 0 and fast.tight_count > 0
+        assert fast.to_json(include_timing=False) == slow.to_json(include_timing=False)
+
+
+class TestCountsMatchCheckTriple:
+    """check_triple, through ``applicability``, is the reference for the sweep counts.
+
+    Both sweep paths read one check plan per size class, so this compares
+    that plan with a check-by-check count over every (A, B, S, kind, gamma).
+    """
+
+    # gamma 4 is -1 on Z5; on Z2xZ3, |A|, |B| <= 3 keeps the reference to seconds
+    @pytest.mark.parametrize("name,cap,gammas", [("Z5", None, [2, 4]), ("Z2xZ3", 3, None)])
+    def test_counts_and_counterexamples(self, name, cap, gammas):
+        g = rl.parse_group(name)
+        plan = rl.EnumerationPlan(group=g, a_max=cap, b_max=cap, s_min=0, s_max=2)
+        kinds = [k for k in K if gammas or k.operator is not bounds.Operator.TWISTED]
+        tight = violations = 0
+        below = {kind: set() for kind in kinds}  # rows with lhs < rhs, hypotheses dropped
+        for a, b, s in rl.enumerate_triples(plan):
+            for kind in kinds:
+                for gamma in gammas if kind is K.TWISTED_PAN_SUN else [None]:
+                    rep = rl.check_triple(g, a, b, s, kind, gamma)
+                    tight += rep.tight
+                    violations += not rep.satisfied
+                    if rep.lhs < rep.rhs:
+                        below[kind].add(tuple(rep.to_row().values()))
+        for force_scalar in (False, True):
+            summary = rl.exhaustive_verify(plan, kinds, gammas=gammas, force_scalar=force_scalar)
+            assert summary.triples_checked == plan.count_triples()
+            assert (summary.tight_count, summary.violation_count) == (tight, violations)
+        assert tight > 0
+        for kind in kinds:
+            found = rl.search_witnesses(plan, kind, "counterexample", gammas=gammas,
+                                        max_witnesses=10 ** 6)
+            assert {tuple(r.to_row().values()) for r in found} == below[kind], kind
+
+
+class TestScalarPathAboveTableOrder:
+    """Z131 is above ``_masks.MAX_TABLE_ORDER``, so only the scalar path runs.
+
+    With thm1's rhs raised by 200, every check's rhs is p = 131, far above
+    int8, so the check plan must hold it as a Python int.
+    """
+
+    @pytest.fixture(autouse=True)
+    def raised_thm1(self, monkeypatch):
+        info = bounds._KIND_INFO[K.THM1]
+        monkeypatch.setitem(bounds._KIND_INFO, K.THM1,
+                            dataclasses.replace(info, c0=info.c0 + 200))
+
+    def test_rhs_at_p(self):
+        g = rl.parse_group("Z131")
+        assert g.order > _masks.MAX_TABLE_ORDER
+        plan = rl.EnumerationPlan(group=g, mode="sampled", sample_count=40, seed=11,
+                                  a_min=5, a_max=50, b_min=5, b_max=50, s_min=1, s_max=2)
+        summary = rl.exhaustive_verify(plan, [K.THM1], max_witnesses=10 ** 6)
+        rows = summary.violations + summary.tight
+        assert summary.violation_count > 0 and summary.tight_count > 0
+        assert len(rows) == summary.violation_count + summary.tight_count
+        for rep in rows:
+            assert rep.rhs == 131
+            again = rl.check_triple(g, rep.a, rep.b, rep.s, K.THM1)
+            assert (again.lhs, again.rhs, again.tight) == (rep.lhs, rep.rhs, rep.tight)
+        reports = [rl.check_triple(g, a, b, s, K.THM1) for a, b, s in rl.enumerate_triples(plan)]
+        assert summary.violation_count == sum(not r.satisfied for r in reports)
+        assert summary.tight_count == sum(r.tight for r in reports)
 
 
 class TestSearch:
