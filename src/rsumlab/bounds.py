@@ -500,13 +500,13 @@ def _scalar_shard(
     return res
 
 
-# Union tables of one chunk of A masks stay within this many bytes, so a
-# chunk holds 128 rows at order 10 and one row at order 17 and above.
+# The byte planes of one size-table build stay within this many bytes, so a
+# chunk holds 256 rows at order 10, 16 at order 14 and one at order 17 and above.
 _CHUNK_BYTES = 512 * 1024
 
 
 def _chunk_rows(order: int) -> int:
-    return max(1, _CHUNK_BYTES // (np.dtype(_masks.MASK_DTYPE).itemsize << order))
+    return max(1, _CHUNK_BYTES // (_masks.plane_count(order) << order))
 
 
 def _a_chunks(plan: EnumerationPlan, shard_index: int, shard_count: int, rows: int):
@@ -561,13 +561,17 @@ def _harvest(collector: _TopK, rows, cols, chunk, smask, kind, gamma, lhs, rhs, 
 def _vector_shard(
     plan: EnumerationPlan, cfg: _SweepConfig, shard_index: int, shard_count: int
 ) -> _ShardResult:
-    """Evaluate every B at once for a chunk of same-size A masks and one S.
+    """Evaluate every B at once for a chunk of same-size A masks.
 
-    Union tables hold |A +_S B| for the whole chunk, one per (S, gamma) that
+    Size tables hold |A +_S B| for the whole chunk, one per (S, gamma) that
     the kinds' operators read; each is the chunk's translates b + A less the
-    exclusions (1+gamma)*b + S, whose row is built once per shard.  The check
-    plan of each (|A|, |S|) class is read out over B through an int8 copy
-    indexed by the B popcounts, and each table is compared with each rhs once.
+    exclusions (1+gamma)*b + S, whose row is built once per shard.  For each
+    (|A|, |S|) class the tables its S list needs are built a batch of (S,
+    gamma) keys per ``_masks.size_table_batch`` call, within ``_CHUNK_BYTES``,
+    and each batch's checks run before the next is built.  The S = {} and
+    S = {0} tables live for the whole chunk.  The check plan of each class is
+    read out over B through an int8 copy indexed by the B popcounts, and each
+    table is compared with each rhs once.
     """
     g = plan.group
     n = g.order
@@ -585,20 +589,42 @@ def _vector_shard(
     cmp = np.less_equal if both else np.less if cfg.collect_violations else np.equal
     only = res.violations if cfg.collect_violations else res.tight  # when not both
 
+    chunk_rows = _chunk_rows(n)
+
     @functools.cache
     def kept(smask, gamma):
         """The bits each translate keeps at the operator's (S, gamma): ~exclusions."""
         return (~t.exclusions(smask, gamma)).astype(_masks.MASK_DTYPE)
 
-    def popcounts(cmasks):
-        return np.bitwise_count(_masks.union_table_batch(cmasks, n)).view(np.int8)
+    def size_tables(work, tables, translates):
+        """Yield (lhs, checks) for each key of ``work``, building the new ones in batches.
 
-    for m, chunk in _a_chunks(plan, shard_index, shard_count, _chunk_rows(n)):
+        A batch holds at most as many table rows as a full chunk, so its
+        byte planes stay within ``_CHUNK_BYTES``.
+        """
+        todo = []
+        for key in work:
+            if key in tables:
+                yield tables[key], work[key]
+            else:
+                todo.append(key)
+        per_batch = max(1, chunk_rows // len(translates))
+        for i in range(0, len(todo), per_batch):
+            keys = todo[i:i + per_batch]
+            cmasks = np.stack([kept(*key) for key in keys])[:, None] & translates
+            sizes = _masks.size_table_batch(cmasks.reshape(-1, n), n)
+            for key, lhs in zip(keys, sizes.reshape(len(keys), len(translates), 1 << n)):
+                if key in chunk_wide:
+                    # it outlives the batch, so it must not keep the batch alive
+                    tables[key] = lhs.copy() if len(keys) > 1 else lhs
+                yield lhs, work[key]
+
+    for m, chunk in _a_chunks(plan, shard_index, shard_count, chunk_rows):
         if m != class_size:
             class_size, classes = m, {}
         amasks = np.array(chunk, dtype=np.int64)
         translates = None  # b + A for each row and b, built once the chunk has work
-        tables: dict[tuple[int, int], np.ndarray] = {}  # the operator's (S, gamma) -> lhs
+        tables: dict[tuple[int, int], np.ndarray] = {}  # the chunk-wide tables by (S, gamma)
         for h, s_list in s_by_size.items():
             if h not in classes:
                 checks, evaluated, pruned = _size_class(plan, cfg, m, h, range(n + 1))
@@ -611,12 +637,13 @@ def _vector_shard(
                 continue
             if translates is None:
                 translates = t.cmasks_general(amasks, 0)
+            work: dict[tuple[int, int], list] = {}  # the operator's (S, gamma) -> its checks
             for smask in s_list:
                 for kind, gamma, same, rhs in checks:
                     key = _operator_s_gamma(kind, smask, gamma)
-                    if key not in tables:
-                        tables[key] = popcounts(translates & kept(*key))
-                    lhs = tables[key]
+                    work.setdefault(key, []).append((smask, kind, gamma, same, rhs))
+            for lhs, key_checks in size_tables(work, tables, translates):
+                for smask, kind, gamma, same, rhs in key_checks:
                     rows, cols = _hits(cmp, lhs, rhs, amasks, n, same)
                     hit = (chunk, smask, kind, gamma, lhs, rhs, n)
                     if not both:
@@ -625,8 +652,6 @@ def _vector_shard(
                         below = lhs[rows, cols] < rhs[cols]
                         _harvest(res.violations, rows[below], cols[below], *hit)
                         _harvest(res.tight, rows[~below], cols[~below], *hit)
-                for key in tables.keys() - chunk_wide:
-                    del tables[key]
     return res
 
 
@@ -719,15 +744,17 @@ def _payload_report(plan: EnumerationPlan, payload: tuple, hypothesis_dropped: b
     )
 
 
+def default_gammas(p: int) -> range:
+    """The gammas a twisted sweep on Z_p checks by default: all but 0 and -1."""
+    return range(1, max(p - 1, 2))
+
+
 def _normalize_gammas(plan: EnumerationPlan, kinds, gammas) -> tuple[int, ...]:
     g = plan.group
     if not g.is_prime_cyclic or not any(k.operator is Operator.TWISTED for k in kinds):
         return ()
     p = g.order
-    if gammas is None:
-        vals = range(1, max(p - 1, 2))  # all gamma not in {0, -1}
-    else:
-        vals = gammas
+    vals = default_gammas(p) if gammas is None else gammas
     out = sorted({v % p for v in vals})
     if any(v == 0 for v in out):
         raise ValueError("gamma must be non-zero modulo p")

@@ -19,6 +19,7 @@ from .bounds import (
     DEFAULT_WORK_CEILING,
     BoundKind,
     WorkCeilingExceeded,
+    default_gammas,
     exhaustive_verify,
     kind_from_name,
     search_witnesses,
@@ -67,7 +68,8 @@ def _plan_flags(p: argparse.ArgumentParser) -> None:
                    help="seeded random sampling instead of exhaustive enumeration")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gamma", action="append", default=None, metavar="G",
-                   help="twist scalar(s) for the twisted bound; repeatable or 'all'")
+                   help="twist scalar(s) for the twisted bound; repeatable, or 'all' "
+                        "for every gamma but 0 and -1 (the default)")
     p.add_argument("--shards", type=int, default=None,
                    help="split the sweep into N shards (default: the thread count)")
     p.add_argument("--threads", type=int, default=None,
@@ -220,7 +222,7 @@ def _parse_gammas(raw, group) -> list[int] | None:
     out: list[int] = []
     for item in raw:
         if item == "all":
-            out.extend(range(1, group.order))
+            out.extend(default_gammas(group.order))
         else:
             out.append(int(item))
     return out

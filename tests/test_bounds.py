@@ -436,7 +436,7 @@ class TestPruneFloor:
 
 def _chunk_budget(g, rows):
     """A _CHUNK_BYTES value that gives chunks of `rows` A masks on group g."""
-    return rows * (np.dtype(_masks.MASK_DTYPE).itemsize << g.order)
+    return rows * (_masks.plane_count(g.order) << g.order)
 
 
 def _assert_paths_agree(monkeypatch, name, cap, smax, kinds, gammas=None):
@@ -485,6 +485,37 @@ class TestChunkBoundaries:
             monkeypatch.setattr(bounds, "_CHUNK_BYTES", _chunk_budget(g, rows))
             small = rl.exhaustive_verify(plan, kinds, prune=True)
             assert small.to_json(include_timing=False) == slow
+
+    def test_key_batches(self, monkeypatch):
+        """A class's (S, gamma) keys built in one batch, in several, and one per batch.
+
+        ``--bound all`` on Z7 with two gammas gives twisted keys and the
+        chunk-wide S = {} and S = {0} keys in one sweep.
+        """
+        g = rl.parse_group("Z7")
+        plan = rl.EnumerationPlan(group=g, a_max=2, b_max=2, s_min=0, s_max=2)
+        kinds, gammas = bounds.ALL_KINDS, [2, 3]
+
+        def run(**kw):
+            return rl.exhaustive_verify(plan, kinds, gammas=gammas, **kw).to_json(
+                include_timing=False)
+
+        slow = run(force_scalar=True)
+        build = _masks.size_table_batch
+        rows_per_call = []
+        # whole classes in one chunk each: every key of a class in one batch,
+        # then 4 keys of the 21-row chunk per batch; last, one row and one key
+        for budget in (1 << 30, _chunk_budget(g, 4 * 21), _chunk_budget(g, 1)):
+            rows = []
+            with monkeypatch.context() as mp:
+                mp.setattr(bounds, "_CHUNK_BYTES", budget)
+                mp.setattr(_masks, "size_table_batch",
+                           lambda cmasks, n: rows.append(len(cmasks)) or build(cmasks, n))
+                assert run() == slow, budget
+            rows_per_call.append(rows)
+        one, several, single = rows_per_call
+        assert len(one) < len(several) < len(single)
+        assert max(one) > 4 * 21 and max(several) == 4 * 21 and set(single) == {1}
 
 
 class TestViolationsAndTightInOneTable:

@@ -336,7 +336,7 @@ class TestGoldenVerifyJson:
 # which take the scalar per-triple path for every kind
 GOLDEN_SAMPLED_JSON = {
     "verify --group Z13 --bound all --gamma all --sample 500 --seed 3 --min-s 1 --max-s 3":
-        "0f84d8598a6888b2bc4f52c454f0bca023e85147d0c06a8b1a00dc6fa77e6650",
+        "d6646751c0af201eb3dcc8f42500cb9eaa09479c38b0eb19a43cb81abc8f1ff1",
     "verify --group Z2xZ6 --bound all --sample 500 --seed 3 --min-s 0 --max-s 3":
         "0795ed31f65b5d071d1207054f679f52a48a030624276a2f36810580a4e7cb2f",
     "search --group Z13 --bound thm2 --mode counterexample --sample 500 --seed 3 "
@@ -354,6 +354,15 @@ class TestGoldenSampledJson:
         code, out, _ = run_cli(capsys, *argv.split(), "--no-timing", "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SAMPLED_JSON[argv]
+
+    def test_gamma_all_is_the_default(self, capsys):
+        # both leave out gamma = -1, the one gamma no twisted check applies to
+        argv = next(a for a in GOLDEN_SAMPLED_JSON if "--gamma all" in a).split()
+        i = argv.index("--gamma")
+        outs = [run_cli(capsys, *args, "--no-timing", "--format", "json")[1]
+                for args in (argv, argv[:i] + argv[i + 2:])]
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["constraints"]["gammas"] == list(range(1, 12))
 
 
 class TestSearchCommand:

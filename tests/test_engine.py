@@ -184,6 +184,20 @@ def test_union_table_is_or_over_set_bits(n):
         for b in range(n):
             want |= np.where(masks >> b & 1, cmasks[:, b:b + 1], 0)
         assert np.array_equal(u, want), (n, k)
+        # one byte plane of the same masks
+        u8 = _masks.union_table_batch(cmasks & 0xFF, n, dtype=np.uint8)
+        assert u8.dtype == np.uint8 and np.array_equal(u8, want & 0xFF), (n, k)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 20])
+def test_size_table_batch_counts_union_table(n):
+    rng = np.random.default_rng(n)
+    for k in (1, 3, bounds._chunk_rows(n)) if n <= 16 else (1,):
+        cmasks = rng.integers(0, 1 << n, size=(k, n)).astype(_masks.MASK_DTYPE)
+        cmasks[0, -1] = (1 << n) - 1  # every bit below n is in some mask
+        sizes = _masks.size_table_batch(cmasks, n)
+        want = np.bitwise_count(_masks.union_table_batch(cmasks, n))
+        assert sizes.dtype == np.int8 and np.array_equal(sizes, want), (n, k)
 
 
 def _size_table(t, abits, sbits, gamma=1):
