@@ -5,17 +5,19 @@ of the four operators, so the catalog is one table of coefficients and
 hypotheses per kind.  Since hypotheses and rhs depend only on the sizes, one
 check plan per size class (``_size_class``) says which (kind, gamma) checks
 run, at what rhs, and whether B must equal A; both sweep paths read it.
-Exhaustive sweeps take a chunk of same-size A masks and one S and evaluate
-all B at once through the mask tables in ``_masks``; a scalar fallback walks
-the triple stream one triple at a time, evaluating each operator once per
-triple by the engine's pair loop, and is kept bit-for-bit consistent with
-the vectorized path (tests compare the two).
+Exhaustive sweeps go class first: for each (|A|, |S|) class with checks
+left they take chunks of its A masks, one slice of the popcount table, and
+evaluate all B at once through the mask tables in ``_masks``.  A scalar
+fallback walks the triple stream one triple at a time, evaluating each
+operator once per triple by the engine's pair loop, and is kept bit-for-bit
+consistent with the vectorized path (tests compare the two).
 
-Sweeps shard over the position of A in the enumeration stream.  Merging is
-order-independent: counters add up and witness lists are re-sorted by a
-canonical triple key, so any shard count yields an identical summary.  Each
-shard counts the checks it evaluated and pruned, and the merge requires them
-to add up to the plan.
+Sweeps shard over the position of A in the enumeration stream, which both
+paths order by size and then by mask value.  Merging is order-independent:
+counters add up and witness lists are re-sorted by a canonical triple key,
+so any shard count yields an identical summary.  Each shard counts the
+checks it evaluated and pruned, and the merge requires them to add up to
+the plan.
 """
 
 from __future__ import annotations
@@ -44,9 +46,11 @@ from .sets import (
     EnumerationPlan,
     enumerate_triples,
     format_set,
-    plan_a_masks,
-    plan_s_masks,
+    size_mask_array,
 )
+# plan_a_masks and plan_s_masks are unused here but kept as module attributes:
+# the benchmark tracer (perfbench/tracer.py) wraps bounds' enumeration names
+from .sets import plan_a_masks, plan_s_masks  # noqa: F401
 
 DEFAULT_WORK_CEILING = 10 ** 9
 DEFAULT_MAX_WITNESSES = 100
@@ -509,26 +513,6 @@ def _chunk_rows(order: int) -> int:
     return max(1, _CHUNK_BYTES // (_masks.plane_count(order) << order))
 
 
-def _a_chunks(plan: EnumerationPlan, shard_index: int, shard_count: int, rows: int):
-    """Yield (|A|, masks): the shard's A masks in runs of equal size, <= rows each.
-
-    The shard owns every shard_count-th position of the size-ordered stream.
-    """
-    chunk: list[int] = []
-    size = 0
-    for pos, amask in enumerate(plan_a_masks(plan)):
-        if pos % shard_count != shard_index:
-            continue
-        m = amask.bit_count()
-        if chunk and (m != size or len(chunk) == rows):
-            yield size, chunk
-            chunk = []
-        size = m
-        chunk.append(amask)
-    if chunk:
-        yield size, chunk
-
-
 def _hits(cmp, lhs, rhs, amasks, n, same):
     """(chunk rows, B masks) where cmp(lhs, rhs) holds; only B = A when ``same``."""
     if same:
@@ -561,28 +545,26 @@ def _harvest(collector: _TopK, rows, cols, chunk, smask, kind, gamma, lhs, rhs, 
 def _vector_shard(
     plan: EnumerationPlan, cfg: _SweepConfig, shard_index: int, shard_count: int
 ) -> _ShardResult:
-    """Evaluate every B at once for a chunk of same-size A masks.
+    """Evaluate every B at once: each (|A|, |S|) class once, then its chunks of A.
 
-    Size tables hold |A +_S B| for the whole chunk, one per (S, gamma) that
-    the kinds' operators read; each is the chunk's translates b + A less the
-    exclusions (1+gamma)*b + S, whose row is built once per shard.  For each
-    (|A|, |S|) class the tables its S list needs are built a batch of (S,
-    gamma) keys per ``_masks.size_table_batch`` call, within ``_CHUNK_BYTES``,
-    and each batch's checks run before the next is built.  The S = {} and
-    S = {0} tables live for the whole chunk.  The check plan of each class is
-    read out over B through an int8 copy indexed by the B popcounts, and each
-    table is compared with each rhs once.
+    For each |A| the shard's masks are one slice of the popcount table.  Each
+    class is planned and counted once, its rhs read out over B by the B
+    popcounts, and only sizes with checks left are walked in chunks.  Size
+    tables hold |A +_S B| for the whole chunk, one per (S, gamma) that the
+    kinds' operators read: the chunk's translates b + A less the exclusions
+    (1+gamma)*b + S, whose row is built once per shard.  They are built a
+    batch of keys per ``_masks.size_table_batch`` call, within
+    ``_CHUNK_BYTES``, and each batch's checks run before the next is built.
+    The S = {} and S = {0} tables live for the whole chunk.  Each table is
+    compared with each rhs once.
     """
     g = plan.group
     n = g.order
     t = _masks.tables_for(g)
     b_count = plan.b_count()
     res = _ShardResult(_TopK(cfg.max_witnesses), _TopK(cfg.max_witnesses))
-    s_by_size: dict[int, list[int]] = {}
-    for smask in plan_s_masks(plan):
-        s_by_size.setdefault(smask.bit_count(), []).append(smask)
-    classes: dict[int, tuple] = {}
-    class_size = None
+    s_by_size = {h: size_mask_array(t.pops, h, plan.canonicalize_s).tolist()
+                 for h in range(plan.s_min, plan.s_max + 1)}
     chunk_wide = {(smask, 1) for smask in _FIXED_S.values()}  # tables that ignore S
     # one comparison per table: lhs <= rhs when both collectors are on, split by lhs < rhs
     both = cfg.collect_violations and cfg.collect_tight
@@ -619,39 +601,42 @@ def _vector_shard(
                     tables[key] = lhs.copy() if len(keys) > 1 else lhs
                 yield lhs, work[key]
 
-    for m, chunk in _a_chunks(plan, shard_index, shard_count, chunk_rows):
-        if m != class_size:
-            class_size, classes = m, {}
-        amasks = np.array(chunk, dtype=np.int64)
-        translates = None  # b + A for each row and b, built once the chunk has work
-        tables: dict[tuple[int, int], np.ndarray] = {}  # the chunk-wide tables by (S, gamma)
+    position = 0  # stream position of the first mask of size m
+    for m in range(plan.a_min, plan.a_max + 1):
+        masks = size_mask_array(t.pops, m, plan.canonicalize)
+        mine = masks[(shard_index - position) % shard_count::shard_count]
+        position += masks.size
+        works = []  # per class with checks: the operator's (S, gamma) -> its checks
         for h, s_list in s_by_size.items():
-            if h not in classes:
-                checks, evaluated, pruned = _size_class(plan, cfg, m, h, range(n + 1))
-                checks = [(kind, gamma, same, np.array(rhs, dtype=np.int8)[t.pops])
-                          for kind, gamma, same, rhs in checks]
-                classes[h] = checks, evaluated, pruned
-            checks, evaluated, pruned = classes[h]
-            res.count(len(chunk) * len(s_list) * b_count, evaluated, pruned)
+            checks, evaluated, pruned = _size_class(plan, cfg, m, h, range(n + 1))
+            res.count(mine.size * len(s_list) * b_count, evaluated, pruned)
             if not checks:
                 continue
-            if translates is None:
-                translates = t.cmasks_general(amasks, 0)
-            work: dict[tuple[int, int], list] = {}  # the operator's (S, gamma) -> its checks
-            for smask in s_list:
-                for kind, gamma, same, rhs in checks:
+            work: dict[tuple[int, int], list] = {}
+            for kind, gamma, same, rhs in checks:
+                rhs = np.array(rhs, dtype=np.int8)[t.pops]
+                for smask in s_list:
                     key = _operator_s_gamma(kind, smask, gamma)
                     work.setdefault(key, []).append((smask, kind, gamma, same, rhs))
-            for lhs, key_checks in size_tables(work, tables, translates):
-                for smask, kind, gamma, same, rhs in key_checks:
-                    rows, cols = _hits(cmp, lhs, rhs, amasks, n, same)
-                    hit = (chunk, smask, kind, gamma, lhs, rhs, n)
-                    if not both:
-                        _harvest(only, rows, cols, *hit)
-                    elif rows.size:  # split the lhs <= rhs hits
-                        below = lhs[rows, cols] < rhs[cols]
-                        _harvest(res.violations, rows[below], cols[below], *hit)
-                        _harvest(res.tight, rows[~below], cols[~below], *hit)
+            works.append(work)
+        if not works:
+            continue
+        for first in range(0, mine.size, chunk_rows):
+            amasks = mine[first:first + chunk_rows]
+            chunk = amasks.tolist()  # Python ints: triple keys overflow int64 at order 20
+            translates = t.cmasks_general(amasks, 0)
+            tables: dict[tuple[int, int], np.ndarray] = {}  # the chunk-wide tables by (S, gamma)
+            for work in works:
+                for lhs, key_checks in size_tables(work, tables, translates):
+                    for smask, kind, gamma, same, rhs in key_checks:
+                        rows, cols = _hits(cmp, lhs, rhs, amasks, n, same)
+                        hit = (chunk, smask, kind, gamma, lhs, rhs, n)
+                        if not both:
+                            _harvest(only, rows, cols, *hit)
+                        elif rows.size:  # split the lhs <= rhs hits
+                            below = lhs[rows, cols] < rhs[cols]
+                            _harvest(res.violations, rows[below], cols[below], *hit)
+                            _harvest(res.tight, rows[~below], cols[~below], *hit)
     return res
 
 
@@ -771,6 +756,8 @@ def _run_sweep(
     """Run and merge every shard: (violations, tight, triples with an evaluated check)."""
     if shard_count < 1 or threads < 1:
         raise ValueError(f"shard_count and threads must be >= 1, got {shard_count} and {threads}")
+    if cfg.max_witnesses < 0:
+        raise ValueError(f"max_witnesses must be >= 0, got {cfg.max_witnesses}")
     jobs = [(plan, cfg, i, shard_count) for i in range(shard_count)]
     if threads > 1 and shard_count > 1:
         with ProcessPoolExecutor(max_workers=min(threads, shard_count)) as pool:

@@ -76,9 +76,6 @@ def _plan_flags(p: argparse.ArgumentParser) -> None:
                    help="worker processes (default: RSUMLAB_THREADS or 1)")
     p.add_argument("--work-ceiling", type=int, default=DEFAULT_WORK_CEILING)
     p.add_argument("--max-witnesses", type=int, default=DEFAULT_MAX_WITNESSES)
-    p.add_argument("--no-tight", action="store_true", help="do not collect tight witnesses")
-    p.add_argument("--prune", action="store_true",
-                   help="skip size classes settled by the trivial bound (disables tight lists)")
     p.add_argument("--no-timing", action="store_true",
                    help="report elapsed_ms as 0 for byte-reproducible output")
 
@@ -117,6 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", action="append", required=True,
                    help="bound kind name or 'all'; repeatable")
     _plan_flags(p)
+    p.add_argument("--no-tight", action="store_true", help="do not collect tight witnesses")
+    p.add_argument("--prune", action="store_true",
+                   help="skip size classes settled by the trivial bound (disables tight lists)")
 
     p = sub.add_parser(
         "search",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -196,9 +195,12 @@ class EnumerationPlan:
 
     ``canonicalize`` restricts A to sets containing element index 0 (the
     minimum-index translate of each diagonal orbit); ``canonicalize_s``
-    additionally restricts non-empty S to sets containing 0.  Sampled mode
-    draws ``sample_count`` triples reproducibly from ``seed``; each triple's
-    RNG is derived independently, so shards agree for any shard count.
+    additionally restricts non-empty S to sets containing 0.  Exhaustive
+    streams list each of A, B and S by size, then by ascending mask value
+    (``size_masks``), so the scalar and the vectorized sweeps agree on which
+    A masks a shard owns.  Sampled mode draws ``sample_count`` triples
+    reproducibly from ``seed``; each triple's RNG is derived independently,
+    so shards agree for any shard count.
     """
 
     group: GroupSpec
@@ -264,25 +266,38 @@ def _count_sets(n: int, lo: int, hi: int, pin_zero: bool) -> int:
 
 
 def size_masks(n: int, size: int, pin_zero: bool = False):
-    """All bitmaps over n indices with the given popcount, deterministic order.
+    """All bitmaps over n indices with the given popcount, in ascending order.
 
-    With ``pin_zero`` and size >= 1, only masks containing bit 0.
+    With ``pin_zero`` and size >= 1, only masks containing bit 0: the masks
+    ``m << 1 | 1`` over the (size-1)-bit masks m of n-1 indices.  Each step is
+    Gosper's next mask with the same popcount.  ``size_mask_array`` gives the
+    same sequence as one numpy array.
     """
+    if pin_zero and size:
+        for m in size_masks(n - 1, size - 1):
+            yield m << 1 | 1
+        return
     if size == 0:
         yield 0
         return
-    if pin_zero:
-        for combo in combinations(range(1, n), size - 1):
-            m = 1
-            for i in combo:
-                m |= 1 << i
-            yield m
-    else:
-        for combo in combinations(range(n), size):
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            yield m
+    m, end = (1 << size) - 1, 1 << n
+    while m < end:
+        yield m
+        low = m & -m
+        ripple = m + low
+        m = ripple | ((m ^ ripple) >> 2) // low
+
+
+def size_mask_array(pops: np.ndarray, size: int, pin_zero: bool = False) -> np.ndarray:
+    """``size_masks(n, size, pin_zero)`` as one int64 array, read off a popcount table.
+
+    ``pops[m]`` is the popcount of each mask m below 2**n; with ``pin_zero``
+    and size >= 1 only the odd masks are kept.
+    """
+    masks = np.flatnonzero(pops == size).astype(np.int64, copy=False)
+    if pin_zero and size:
+        masks = masks[masks & 1 == 1]
+    return masks
 
 
 def plan_a_masks(plan: EnumerationPlan):

@@ -53,10 +53,6 @@ def is_subgroup_set(s: ElementSet) -> bool:
     return all(map_bits(s.bits, add[i]) == s.bits for i in s.indices())
 
 
-def cyclic_subgroup_bits(g: GroupSpec, x: Element) -> int:
-    return _cyclic_bits(index_table(g).add[g.element_index(x)])
-
-
 def _cyclic_bits(row) -> int:
     """Bitmap of the subgroup generated by x, given x's add row."""
     bits = 1
@@ -109,10 +105,9 @@ def prime_order_subgroups(g: GroupSpec) -> list[Subgroup]:
     These are exactly the cyclic subgroups generated by prime-order elements,
     so no join closure (hence no ceiling) is needed.
     """
-    seen: set[int] = set()
-    for x in g.elements():
-        if is_prime(g.element_order(x)):
-            seen.add(cyclic_subgroup_bits(g, x))
+    add = index_table(g).add
+    cyclics = (_cyclic_bits(add[xi]) for xi in range(1, g.order))
+    seen = {bits for bits in cyclics if is_prime(bits.bit_count())}
     return [
         Subgroup(group=g, members=ElementSet(g, bits), order=bits.bit_count())
         for bits in sorted(seen)

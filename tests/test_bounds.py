@@ -363,6 +363,32 @@ class TestShardAccounting:
         assert (pruned > 0) == prune
         assert sum(r.triples for r in shards) == summary.triples_checked
 
+    @pytest.mark.parametrize("prune", [False, True])
+    @pytest.mark.parametrize("name,b_max,kinds,gammas", [
+        ("Z5", 3, (K.THM1, K.KAROLYI, K.BALISTER_WHEELER), ()),
+        ("Z2xZ4", 2, (K.THM1, K.PAN_SUN, K.KNESER_CD, K.BALISTER_WHEELER), ()),
+        ("Z5", 3, (K.TWISTED_PAN_SUN, K.THM1), (2, 3)),
+    ])
+    def test_each_shard_agrees_across_paths(self, name, b_max, kinds, gammas, prune):
+        # both paths give a shard the same A masks, so each shard's counts and
+        # witnesses agree, not only the merged summary
+        g = rl.parse_group(name)
+        plan = rl.EnumerationPlan(group=g, a_max=3, b_max=b_max, s_min=0, s_max=2)
+        shards = {}
+        for force_scalar in (False, True):
+            cfg = bounds._SweepConfig(
+                kinds=kinds, gammas=gammas, collect_violations=True, collect_tight=not prune,
+                ignore_applicability=False, max_witnesses=10 ** 6, prune=prune,
+                force_scalar=force_scalar,
+            )
+            shards[force_scalar] = [
+                (r.evaluated, r.pruned, r.triples, r.violations.total, r.tight.total,
+                 r.violations.sorted_payloads(), r.tight.sorted_payloads())
+                for r in (bounds._shard_worker((plan, cfg, i, 3)) for i in range(3))
+            ]
+        assert shards[False] == shards[True]
+        assert len({shard[0] for shard in shards[False]}) > 1  # the shards differ
+
     def test_zero_planned_checks_raise(self):
         # the twisted bound has no gammas off Z_p, so alone it plans no checks
         g = rl.parse_group("Z6")
@@ -375,6 +401,21 @@ class TestShardAccounting:
         # alongside another kind it contributes nothing and the sweep runs
         summary = rl.exhaustive_verify(plan, [K.THM1, K.TWISTED_PAN_SUN], gammas=[2])
         assert summary.checks_planned == plan.count_triples()
+
+    def test_negative_max_witnesses_raise(self):
+        g = rl.parse_group("Z5")
+        plan = rl.EnumerationPlan(group=g, s_min=1, s_max=1)
+        with pytest.raises(ValueError, match="max_witnesses"):
+            rl.exhaustive_verify(plan, [K.THM1], max_witnesses=-3)
+        for mode in ("tight", "counterexample"):
+            with pytest.raises(ValueError, match="max_witnesses"):
+                rl.search_witnesses(plan, K.ANR, mode, max_witnesses=-1)
+        # zero keeps the counts and lists no rows
+        full = rl.exhaustive_verify(plan, [K.PAN_SUN])
+        bare = rl.exhaustive_verify(plan, [K.PAN_SUN], max_witnesses=0)
+        assert bare.tight_count == full.tight_count > 0
+        assert bare.tight == bare.violations == []
+        assert rl.search_witnesses(plan, K.PAN_SUN, max_witnesses=0) == []
 
     def test_lost_checks_raise(self, monkeypatch):
         honest = bounds._vector_shard
@@ -485,6 +526,34 @@ class TestChunkBoundaries:
             monkeypatch.setattr(bounds, "_CHUNK_BYTES", _chunk_budget(g, rows))
             small = rl.exhaustive_verify(plan, kinds, prune=True)
             assert small.to_json(include_timing=False) == slow
+
+    def test_pruned_sizes_build_no_translates(self, monkeypatch):
+        # the kernel plans every (|A|, |S|) class first and walks the A chunks
+        # of a size only when some class of it is still evaluated
+        g = rl.parse_group("Z8")
+        plan = rl.EnumerationPlan(group=g, s_min=1, s_max=2, canonicalize=True,
+                                  canonicalize_s=True)
+        kinds = (BoundKind.PRIME_POWER_S, BoundKind.PROP34)
+        cfg = bounds._SweepConfig(
+            kinds=kinds, gammas=(), collect_violations=True, collect_tight=False,
+            ignore_applicability=False, max_witnesses=100, prune=True, force_scalar=False,
+        )
+        live = {m for m in range(1, g.order + 1) for h in (1, 2)
+                if bounds._size_class(plan, cfg, m, h, range(g.order + 1))[1]}
+        assert 0 < len(live) < g.order
+        sizes = []
+        honest = _masks.MaskTables.cmasks_general
+
+        def recording(self, abits, sbits, gamma=1):
+            sizes.extend(int(m).bit_count() for m in np.atleast_1d(abits))
+            return honest(self, abits, sbits, gamma)
+
+        monkeypatch.setattr(_masks.MaskTables, "cmasks_general", recording)
+        summary = rl.exhaustive_verify(plan, kinds, prune=True)
+        assert sizes and set(sizes) <= live
+        monkeypatch.undo()
+        slow = rl.exhaustive_verify(plan, kinds, prune=True, force_scalar=True)
+        assert summary.to_json(include_timing=False) == slow.to_json(include_timing=False)
 
     def test_key_batches(self, monkeypatch):
         """A class's (S, gamma) keys built in one batch, in several, and one per batch.

@@ -275,6 +275,22 @@ class TestNonsenseCounts:
         assert out.startswith("group=Z6 kinds=cd,kneser,eh,anr,karolyi,bw,pansun,thm1,ppow,"
                               "thm2,prop34 ")
 
+    def test_negative_max_witnesses_exit_2(self, capsys):
+        for command in (("verify", "--bound", "thm1"), ("search", "--bound", "thm1")):
+            code, out, err = run_cli(capsys, *command, "--group", "Z5", "--max-witnesses", "-3",
+                                     "--format", "json")
+            assert (code, out) == (2, "")
+            assert "max_witnesses must be >= 0" in err
+
+    @pytest.mark.parametrize("flag", ["--prune", "--no-tight"])
+    def test_verify_only_flags_rejected_by_search(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--group", "Z5", "--bound", "thm1", flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        code, _, _ = run_cli(capsys, "verify", "--group", "Z5", "--bound", "thm1", flag)
+        assert code == 0
+
     @pytest.mark.parametrize("value", ["0", "-4"])
     def test_nonpositive_sample_exit_2(self, capsys, value):
         code, out, err = run_cli(

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rsumlab as rl
+from rsumlab import _masks
+from rsumlab.sets import size_mask_array, size_masks
 from conftest import set_of
 
 
@@ -165,6 +167,19 @@ class TestEnumeration:
             )
         assert sorted(sharded) == sorted(full)
         assert len(full) == plan.count_triples()
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_size_masks_match_the_table_slice(self, n):
+        # one order, by size then ascending value, from the generator and from
+        # the popcount table; above the table orders only the generator exists
+        pops = _masks.popcount_table(n)
+        for k in range(n + 1):
+            for pin in (False, True):
+                got = list(size_masks(n, k, pin))
+                assert got == size_mask_array(pops, k, pin).tolist(), (k, pin)
+                want = [m for m in range(1 << n)
+                        if m.bit_count() == k and (m & 1 or not (pin and k))]
+                assert got == want, (k, pin)
 
     def test_sampled_deterministic(self):
         g = rl.parse_group("Z3")

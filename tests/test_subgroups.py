@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import rsumlab as rl
+from rsumlab.groups import is_prime
 from conftest import o_add, oracle_subgroups, set_of
 
 
@@ -25,6 +26,12 @@ class TestEnumeration:
         g = rl.make_group(factors)
         got = {frozenset(set_of(h.members)) for h in rl.all_subgroups(g)}
         assert got == oracle_subgroups(factors)
+
+    @pytest.mark.parametrize("name", ["Z12", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2", "Z2xZ6", "Z30"])
+    def test_prime_order_is_the_prime_slice_of_all(self, name):
+        g = rl.parse_group(name)
+        want = [h for h in rl.all_subgroups(g) if is_prime(h.order)]
+        assert rl.prime_order_subgroups(g) == want
 
     def test_enumeration_ceiling(self):
         with pytest.raises(rl.GroupError):
