@@ -3,14 +3,15 @@
 Every bound has the shape  lhs >= min(linear(|A|, |B|, |S|), p(G))  for one
 of the four operators, so the catalog is one table of coefficients and
 hypotheses per kind.  Since hypotheses and rhs depend only on the sizes, one
-check plan per size class (``_size_class``) says which (kind, gamma) checks
-run, at what rhs, and whether B must equal A; both sweep paths read it.
-Exhaustive sweeps go class first: for each (|A|, |S|) class with checks
-left they take chunks of its A masks, one slice of the popcount table, and
-evaluate all B at once through the mask tables in ``_masks``.  A scalar
-fallback walks the triple stream one triple at a time, evaluating each
-operator once per triple by the engine's pair loop, and is kept bit-for-bit
-consistent with the vectorized path (tests compare the two).
+check plan per (|A|, |S|) class (``_size_class``) says which (kind, gamma)
+checks run and whether B must equal A, and ``_check_rhs`` gives their rhs
+at each |B|; both sweep paths read them.  Exhaustive sweeps go class first: for each |A| with checks
+left they gather the checks of all its |S| classes under the (S, gamma)
+their operator reads, take chunks of its A masks, one slice of the
+popcount table, and evaluate all B at once through the mask tables in
+``_masks``.  A scalar fallback walks the triple stream one triple at a time,
+evaluating each operator once per triple by the engine's pair loop, and is
+kept bit-for-bit consistent with the vectorized path (tests compare the two).
 
 Sweeps shard over the position of A in the enumeration stream, which both
 paths order by size and then by mask value.  Merging is order-independent:
@@ -384,19 +385,15 @@ def _prunable(kind: BoundKind, m: int, h: int, plan: EnumerationPlan, p: int) ->
     return _min_lhs_floor(kind, m, plan.b_min, h) >= bound_value(kind, m, plan.b_max, h, p)
 
 
-def _size_class(plan: EnumerationPlan, cfg: _SweepConfig, m: int, h: int, b_sizes):
-    """The check plan of the (|A|, |S|) = (m, h) class at the |B| values ``b_sizes``.
+def _size_class(plan: EnumerationPlan, cfg: _SweepConfig, m: int, h: int):
+    """The check plan of the (|A|, |S|) = (m, h) class.
 
     Returns (checks, evaluated, pruned): each triple of the class has
     ``evaluated`` (kind, gamma) checks, and --prune skips ``pruned`` more.
-    Each check is (kind, gamma, same, rhs): ``same`` says only B = A is
-    checked, and ``rhs`` lists the bound at each |B| in ``b_sizes`` as Python
-    ints.  An rhs is -1 where |B| is outside the plan, a hypothesis fails
-    (unless they are ignored) or the bound is <= -1, so no lhs is below or
-    equal to it there; an evaluated check that is -1 at every |B| is left out.
+    Each check is (kind, gamma, same): ``same`` says only B = A is checked.
+    ``_check_rhs`` gives a check's rhs at the |B| values a path needs.
     """
-    g = plan.group
-    p = g.least_prime
+    p = plan.group.least_prime
     checks = []
     evaluated = pruned = 0
     for kind in cfg.kinds:
@@ -405,19 +402,27 @@ def _size_class(plan: EnumerationPlan, cfg: _SweepConfig, m: int, h: int, b_size
             pruned += len(gammas)
             continue
         evaluated += len(gammas)
-        bound = [
-            max(bound_value(kind, m, k, h, p), -1) if plan.b_min <= k <= plan.b_max else -1
-            for k in b_sizes
-        ]
         same = kind.info.equal_sets and not cfg.ignore_applicability
-        for gamma in gammas:
-            rhs = bound
-            if not cfg.ignore_applicability:
-                ok = _applicable_vector(kind, g, m, h, gamma, b_sizes)
-                rhs = [r if applies else -1 for r, applies in zip(bound, ok)]
-            if max(rhs) >= 0:
-                checks.append((kind, gamma, same, rhs))
+        checks.extend((kind, gamma, same) for gamma in gammas)
     return checks, evaluated, pruned
+
+
+def _check_rhs(plan: EnumerationPlan, cfg: _SweepConfig, kind, gamma, m, h, b_sizes) -> list[int]:
+    """A check's rhs at |A| = m, |S| = h and each |B| in ``b_sizes``, as Python ints.
+
+    An rhs is -1 where |B| is outside the plan, a hypothesis fails (unless
+    they are ignored) or the bound is <= -1, so no lhs is below or equal to
+    it there.
+    """
+    g = plan.group
+    rhs = [
+        max(bound_value(kind, m, k, h, g.least_prime), -1) if plan.b_min <= k <= plan.b_max else -1
+        for k in b_sizes
+    ]
+    if cfg.ignore_applicability:
+        return rhs
+    ok = _applicable_vector(kind, g, m, h, gamma, b_sizes)
+    return [r if applies else -1 for r, applies in zip(rhs, ok)]
 
 
 def _applicable_vector(kind, g, m, h, gamma, sizes):
@@ -477,22 +482,28 @@ def _scalar_shard(
 ) -> _ShardResult:
     """Walk the shard's triples one at a time against the check plan at their sizes.
 
-    The plan is built once per (|A|, |B|, |S|).  Its checks share one lhs per
-    (S, gamma) that ``_operator_s_gamma`` gives, computed by the engine's pair
-    loop, not by mask tables, so this path is the reference for the kernel's.
+    The plan is built once per (|A|, |S|), the kernel's size class, and the
+    rhs of its checks once per |B| that a triple of the class has, so the
+    work per class does not grow with |G|.  A check whose rhs is -1 at the
+    triple's |B| is skipped.  The checks share one lhs per (S, gamma) that
+    ``_operator_s_gamma`` gives, computed by the engine's pair loop, not by
+    mask tables, so this path is the reference for the kernel's.
     """
     n = plan.group.order
     res = _ShardResult(_TopK(cfg.max_witnesses), _TopK(cfg.max_witnesses))
-    classes: dict[tuple[int, int, int], tuple] = {}  # (|A|, |B|, |S|) -> check plan
+    classes: dict[tuple[int, int], tuple] = {}  # (|A|, |S|) -> check plan, rhs by |B|
     for a, b, s in enumerate_triples(plan, shard_index, shard_count):
-        sizes = a.size, b.size, s.size
+        sizes = a.size, s.size
         if sizes not in classes:
-            classes[sizes] = _size_class(plan, cfg, a.size, s.size, [b.size])
-        checks, evaluated, pruned = classes[sizes]
+            classes[sizes] = (*_size_class(plan, cfg, *sizes), {})
+        checks, evaluated, pruned, rhs_by_b = classes[sizes]
         res.count(1, evaluated, pruned)
+        if b.size not in rhs_by_b:
+            rhs_by_b[b.size] = [_check_rhs(plan, cfg, kind, gamma, *sizes, [b.size])[0]
+                                for kind, gamma, _ in checks]
         lhs_by_rule: dict[tuple[int, int], int] = {}  # the operator's (S, gamma) -> lhs
-        for kind, gamma, same, (rhs,) in checks:
-            if same and a.bits != b.bits:
+        for (kind, gamma, same), rhs in zip(checks, rhs_by_b[b.size]):
+            if rhs < 0 or (same and a.bits != b.bits):
                 continue
             rule = _operator_s_gamma(kind, s.bits, gamma)
             if rule not in lhs_by_rule:
@@ -549,14 +560,15 @@ def _vector_shard(
 
     For each |A| the shard's masks are one slice of the popcount table.  Each
     class is planned and counted once, its rhs read out over B by the B
-    popcounts, and only sizes with checks left are walked in chunks.  Size
-    tables hold |A +_S B| for the whole chunk, one per (S, gamma) that the
-    kinds' operators read: the chunk's translates b + A less the exclusions
-    (1+gamma)*b + S, whose row is built once per shard.  They are built a
-    batch of keys per ``_masks.size_table_batch`` call, within
-    ``_CHUNK_BYTES``, and each batch's checks run before the next is built.
-    The S = {} and S = {0} tables live for the whole chunk.  Each table is
-    compared with each rhs once.
+    popcounts, and its checks are gathered under the (S, gamma) that their
+    operator reads, in one key map for all classes of that |A|.  Only sizes
+    with checks left are walked in chunks.  Size tables hold |A +_S B| for
+    the whole chunk, one per key: the chunk's translates b + A less the
+    exclusions (1+gamma)*b + S, whose row is built once per shard.  They are
+    built a batch of keys per ``_masks.size_table_batch`` call, within
+    ``_CHUNK_BYTES``, and each batch's checks run before the next is built,
+    so each key's table is built once per chunk and compared with each rhs
+    once.
     """
     g = plan.group
     n = g.order
@@ -565,7 +577,6 @@ def _vector_shard(
     res = _ShardResult(_TopK(cfg.max_witnesses), _TopK(cfg.max_witnesses))
     s_by_size = {h: size_mask_array(t.pops, h, plan.canonicalize_s).tolist()
                  for h in range(plan.s_min, plan.s_max + 1)}
-    chunk_wide = {(smask, 1) for smask in _FIXED_S.values()}  # tables that ignore S
     # one comparison per table: lhs <= rhs when both collectors are on, split by lhs < rhs
     both = cfg.collect_violations and cfg.collect_tight
     cmp = np.less_equal if both else np.less if cfg.collect_violations else np.equal
@@ -578,57 +589,38 @@ def _vector_shard(
         """The bits each translate keeps at the operator's (S, gamma): ~exclusions."""
         return (~t.exclusions(smask, gamma)).astype(_masks.MASK_DTYPE)
 
-    def size_tables(work, tables, translates):
-        """Yield (lhs, checks) for each key of ``work``, building the new ones in batches.
-
-        A batch holds at most as many table rows as a full chunk, so its
-        byte planes stay within ``_CHUNK_BYTES``.
-        """
-        todo = []
-        for key in work:
-            if key in tables:
-                yield tables[key], work[key]
-            else:
-                todo.append(key)
-        per_batch = max(1, chunk_rows // len(translates))
-        for i in range(0, len(todo), per_batch):
-            keys = todo[i:i + per_batch]
-            cmasks = np.stack([kept(*key) for key in keys])[:, None] & translates
-            sizes = _masks.size_table_batch(cmasks.reshape(-1, n), n)
-            for key, lhs in zip(keys, sizes.reshape(len(keys), len(translates), 1 << n)):
-                if key in chunk_wide:
-                    # it outlives the batch, so it must not keep the batch alive
-                    tables[key] = lhs.copy() if len(keys) > 1 else lhs
-                yield lhs, work[key]
-
     position = 0  # stream position of the first mask of size m
     for m in range(plan.a_min, plan.a_max + 1):
         masks = size_mask_array(t.pops, m, plan.canonicalize)
         mine = masks[(shard_index - position) % shard_count::shard_count]
         position += masks.size
-        works = []  # per class with checks: the operator's (S, gamma) -> its checks
+        work: dict[tuple[int, int], list] = {}  # the operator's (S, gamma) -> its checks
         for h, s_list in s_by_size.items():
-            checks, evaluated, pruned = _size_class(plan, cfg, m, h, range(n + 1))
+            checks, evaluated, pruned = _size_class(plan, cfg, m, h)
             res.count(mine.size * len(s_list) * b_count, evaluated, pruned)
-            if not checks:
-                continue
-            work: dict[tuple[int, int], list] = {}
-            for kind, gamma, same, rhs in checks:
+            for kind, gamma, same in checks:
+                rhs = _check_rhs(plan, cfg, kind, gamma, m, h, range(n + 1))
+                if max(rhs) < 0:
+                    continue  # no |B| of the plan to check
                 rhs = np.array(rhs, dtype=np.int8)[t.pops]
                 for smask in s_list:
                     key = _operator_s_gamma(kind, smask, gamma)
                     work.setdefault(key, []).append((smask, kind, gamma, same, rhs))
-            works.append(work)
-        if not works:
+        if not work:
             continue
+        keys = list(work)
         for first in range(0, mine.size, chunk_rows):
             amasks = mine[first:first + chunk_rows]
             chunk = amasks.tolist()  # Python ints: triple keys overflow int64 at order 20
             translates = t.cmasks_general(amasks, 0)
-            tables: dict[tuple[int, int], np.ndarray] = {}  # the chunk-wide tables by (S, gamma)
-            for work in works:
-                for lhs, key_checks in size_tables(work, tables, translates):
-                    for smask, kind, gamma, same, rhs in key_checks:
+            # a batch holds at most as many table rows as a full chunk
+            per_batch = max(1, chunk_rows // len(translates))
+            for i in range(0, len(keys), per_batch):
+                batch = keys[i:i + per_batch]
+                cmasks = np.stack([kept(*key) for key in batch])[:, None] & translates
+                sizes = _masks.size_table_batch(cmasks.reshape(-1, n), n)
+                for key, lhs in zip(batch, sizes.reshape(len(batch), len(translates), 1 << n)):
+                    for smask, kind, gamma, same, rhs in work[key]:
                         rows, cols = _hits(cmp, lhs, rhs, amasks, n, same)
                         hit = (chunk, smask, kind, gamma, lhs, rhs, n)
                         if not both:

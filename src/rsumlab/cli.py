@@ -66,7 +66,8 @@ def _plan_flags(p: argparse.ArgumentParser) -> None:
                    help="additionally translate S to contain 0 (B absorbs the shift)")
     p.add_argument("--sample", type=int, default=None, metavar="N",
                    help="seeded random sampling instead of exhaustive enumeration")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of a --sample sweep (default 0)")
     p.add_argument("--gamma", action="append", default=None, metavar="G",
                    help="twist scalar(s) for the twisted bound; repeatable, or 'all' "
                         "for every gamma but 0 and -1 (the default)")
@@ -245,6 +246,9 @@ def _require_twist_checks(args, group, kinds: list[BoundKind]) -> None:
 
 
 def _build_plan(args, group, kinds) -> EnumerationPlan:
+    if args.seed is not None and args.sample is None:
+        # an exhaustive sweep draws nothing, so the seed would vanish unread
+        raise ValueError("--seed only applies to a --sample sweep")
     s_free = not any(k.reads_s for k in kinds)
     min_s = args.min_s
     max_s = args.max_s
@@ -264,7 +268,7 @@ def _build_plan(args, group, kinds) -> EnumerationPlan:
         s_max=max_s,
         mode="exhaustive" if args.sample is None else "sampled",
         sample_count=args.sample,
-        seed=None if args.sample is None else args.seed,
+        seed=args.seed,
         canonicalize=args.canonicalize,
         canonicalize_s=args.canonicalize_s,
     )

@@ -17,19 +17,13 @@ def _require_nonempty(s: ElementSet, name: str) -> None:
 
 
 def sumset(a: ElementSet, b: ElementSet) -> ElementSet:
-    """{a + b : a in A, b in B}."""
-    g = _require_same_group(a, b)
-    _require_nonempty(a, "A")
-    _require_nonempty(b, "B")
-    return generalized_restricted_sumset(a, b, ElementSet.empty(g))
+    """{a + b : a in A, b in B}; equals the S = {} case."""
+    return generalized_restricted_sumset(a, b, ElementSet.empty(a.group))
 
 
 def restricted_sumset(a: ElementSet, b: ElementSet) -> ElementSet:
     """{a + b : a in A, b in B, a != b}; equals the S = {0} case."""
-    g = _require_same_group(a, b)
-    _require_nonempty(a, "A")
-    _require_nonempty(b, "B")
-    return generalized_restricted_sumset(a, b, ElementSet(g, 1))
+    return generalized_restricted_sumset(a, b, ElementSet(a.group, 1))
 
 
 def generalized_restricted_sumset(a: ElementSet, b: ElementSet, s: ElementSet) -> ElementSet:

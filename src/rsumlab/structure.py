@@ -331,38 +331,19 @@ def progression_differences(s: ElementSet) -> list[int]:
 
 @lru_cache(maxsize=1 << 16)
 def _progression_differences_cached(g: GroupSpec, bits: int) -> tuple[int, ...]:
-    n = g.order
+    # X is a progression with difference q iff its q-runs, which start at
+    # X \ (X + q), are one run that does not close (|X| < ord(q)) or none,
+    # so that X is one whole <q>-coset (|X| = ord(q))
     k = bits.bit_count()
-    if k == 1:
-        return tuple(range(1, n))
-    t = index_table(g)
-    start = (bits & -bits).bit_length() - 1
-    return tuple(
-        qi for qi in range(1, n)
-        if _walk_is_progression(g, bits, k, start, t.add[qi], t.add[t.neg[qi]], qi)
-    )
-
-
-def _walk_is_progression(g, bits, k, start, fwd, back, qi) -> bool:
-    # walk back to the start of the run; a closed walk means the set contains
-    # a full <q>-coset, which is a progression only if it is all of the set
-    x = start
-    steps = 0
-    while True:
-        prev = back[x]
-        if not bits >> prev & 1:
-            break
-        x = prev
-        steps += 1
-        if steps > k:
-            return k == g.element_order(g.index_element(qi))
-    run = 1
-    while run < k:
-        x = fwd[x]
-        if not bits >> x & 1:
-            return False
-        run += 1
-    return True
+    add = index_table(g).add
+    out = []
+    for qi in range(1, g.order):
+        runs = (bits & ~map_bits(bits, add[qi])).bit_count()
+        if runs <= 1:
+            o = g.element_order(g.index_element(qi))
+            if k <= o and runs == (k < o):
+                out.append(qi)
+    return tuple(out)
 
 
 def classify_critical_pair(a: ElementSet, b: ElementSet) -> list[StructureClass]:

@@ -539,7 +539,7 @@ class TestChunkBoundaries:
             ignore_applicability=False, max_witnesses=100, prune=True, force_scalar=False,
         )
         live = {m for m in range(1, g.order + 1) for h in (1, 2)
-                if bounds._size_class(plan, cfg, m, h, range(g.order + 1))[1]}
+                if bounds._size_class(plan, cfg, m, h)[1]}
         assert 0 < len(live) < g.order
         sizes = []
         honest = _masks.MaskTables.cmasks_general
@@ -556,10 +556,12 @@ class TestChunkBoundaries:
         assert summary.to_json(include_timing=False) == slow.to_json(include_timing=False)
 
     def test_key_batches(self, monkeypatch):
-        """A class's (S, gamma) keys built in one batch, in several, and one per batch.
+        """An |A|'s (S, gamma) keys built in one batch, in several, and one per batch.
 
-        ``--bound all`` on Z7 with two gammas gives twisted keys and the
-        chunk-wide S = {} and S = {0} keys in one sweep.
+        ``--bound all`` on Z7 with two gammas mixes all four operators in one
+        sweep: every |S| class of an |A| shares its S = {} and S = {0} keys,
+        and general and twisted keys share each S.  Each (A, key) table is
+        built exactly once whatever the batching.
         """
         g = rl.parse_group("Z7")
         plan = rl.EnumerationPlan(group=g, a_max=2, b_max=2, s_min=0, s_max=2)
@@ -585,6 +587,22 @@ class TestChunkBoundaries:
         one, several, single = rows_per_call
         assert len(one) < len(several) < len(single)
         assert max(one) > 4 * 21 and max(several) == 4 * 21 and set(single) == {1}
+        # one table row per A mask and operator (S, gamma) key that some check reads
+        p = g.least_prime
+        pairs = set()
+        for amask in range(1 << g.order):
+            m = amask.bit_count()
+            for smask in range(1 << g.order):
+                h = smask.bit_count()
+                if not (plan.a_min <= m <= plan.a_max and plan.s_min <= h <= plan.s_max):
+                    continue
+                for kind in kinds:
+                    for gamma in gammas if kind.operator is bounds.Operator.TWISTED else [None]:
+                        if any(not bounds._failed_hypothesis(kind, g, m, k, h, gamma)
+                               and bounds.bound_value(kind, m, k, h, p) >= 0
+                               for k in range(plan.b_min, plan.b_max + 1)):
+                            pairs.add((amask, bounds._operator_s_gamma(kind, smask, gamma)))
+        assert sum(one) == sum(several) == sum(single) == len(pairs)
 
 
 class TestViolationsAndTightInOneTable:
@@ -750,6 +768,25 @@ class TestScalarPathAboveTableOrder:
         reports = [rl.check_triple(g, a, b, s, K.THM1) for a, b, s in rl.enumerate_triples(plan)]
         assert summary.violation_count == sum(not r.satisfied for r in reports)
         assert summary.tight_count == sum(r.tight for r in reports)
+
+    def test_hypotheses_only_at_drawn_sizes(self, monkeypatch):
+        """Each check's rhs is built at the drawn |B| only, never over all 132."""
+        g = rl.parse_group("Z131")
+        plan = rl.EnumerationPlan(group=g, mode="sampled", sample_count=30, seed=3,
+                                  a_min=1, a_max=3, b_min=1, b_max=3, s_min=1, s_max=2)
+        seen = []
+        real = bounds._failed_hypothesis
+
+        def counted(kind, group, m, k, h, gamma):
+            seen.append((m, k, h))
+            return real(kind, group, m, k, h, gamma)
+
+        monkeypatch.setattr(bounds, "_failed_hypothesis", counted)
+        gammas = [2, 3, 5]
+        rl.exhaustive_verify(plan, [K.TWISTED_PAN_SUN, K.THM1], gammas=gammas, max_witnesses=0)
+        drawn = {(a.size, b.size, s.size) for a, b, s in rl.enumerate_triples(plan)}
+        assert set(seen) == drawn
+        assert len(seen) == len(drawn) * (len(gammas) + 1)
 
 
 class TestSearch:

@@ -95,7 +95,7 @@ class TestVerifyCommand:
 
     def test_repeat_invocation_byte_identical(self, capsys):
         args = ("verify", "--group", "Z2xZ4", "--bound", "thm1", "--max-s", "2",
-                "--format", "json", "--no-timing", "--seed", "5")
+                "--format", "json", "--no-timing")
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
@@ -264,6 +264,16 @@ class TestNonsenseCounts:
         assert code == 2
         assert out == ""
         assert "no checks planned" in err
+
+    @pytest.mark.parametrize("command", [
+        ("verify", "--bound", "thm1"), ("search", "--bound", "thm1", "--mode", "tight"),
+    ])
+    def test_seed_without_sample_exit_2(self, capsys, command):
+        # an exhaustive sweep draws nothing: the seed would vanish unread
+        code, out, err = run_cli(capsys, *command, "--group", "Z5", "--seed", "9", "--no-timing")
+        assert code == 2
+        assert out == ""
+        assert "--seed only applies to a --sample sweep" in err
 
     def test_bound_all_off_zp_still_sweeps_the_rest(self, capsys):
         code, out, _ = run_cli(

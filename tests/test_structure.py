@@ -8,7 +8,9 @@ import pytest
 import rsumlab as rl
 from rsumlab import _masks
 from rsumlab.structure import sdr_index_window
-from conftest import o_add, o_sub, oracle_sumset, set_of, stabilizer_sizes
+from conftest import (
+    o_add, o_sub, oracle_progression_differences, oracle_sumset, set_of, stabilizer_sizes,
+)
 
 
 def S(g, text):
@@ -467,6 +469,17 @@ class TestClassify:
         assert rl.parse_group("Z2xZ4").element_index((0, 1)) in (
             rl.progression_differences(rl.ElementSet.from_elements(g2, [(1, 1), (1, 2)]))
         )
+
+    @pytest.mark.parametrize("name", ["Z2xZ2", "Z2xZ4", "Z9"])
+    def test_progression_detector_on_every_subset(self, name):
+        # {0, (0,1), (1,0)} in Z2xZ2 at q = (0,1) has one q-run but is no
+        # progression: it is longer than ord(q)
+        g = rl.parse_group(name)
+        for bits in range(1, 1 << g.order):
+            xs = rl.ElementSet(g, bits)
+            elems = [g.index_element(i) for i in xs.indices()]
+            assert rl.progression_differences(xs) == oracle_progression_differences(
+                g.factors, elems), rl.format_set(xs)
 
 
 # -- fiber spread ------------------------------------------------------------------
