@@ -23,7 +23,6 @@ from .sets import (
     ElementSet,
     EnumerationPlan,
     GroupMismatchError,
-    canonicalize_triple,
     enumerate_triples,
     format_set,
     parse_set,

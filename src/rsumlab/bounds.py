@@ -336,13 +336,15 @@ class _TopK:
             return None
         return -self.heap[0][0]
 
-    def offer(self, key: int, payload: tuple) -> None:
-        if self.cap <= 0:
-            return
+    def offer(self, key: int, payload: tuple) -> bool:
+        """Keep the key if it is among the cap smallest offered; return whether it was kept."""
         if len(self.heap) < self.cap:
             heapq.heappush(self.heap, (-key, payload))
-        elif key < -self.heap[0][0]:
+        elif self.cap > 0 and key < -self.heap[0][0]:
             heapq.heapreplace(self.heap, (-key, payload))
+        else:
+            return False
+        return True
 
     def record(self, key: int, payload: tuple) -> None:
         self.total += 1
@@ -534,23 +536,22 @@ def _hits(cmp, lhs, rhs, amasks, n, same):
 
 
 def _harvest(collector: _TopK, rows, cols, chunk, smask, kind, gamma, lhs, rhs, n) -> None:
-    """Record the hits (rows[i], cols[i]) = (index into chunk, B mask)."""
+    """Record the hits (rows[i], cols[i]) = (index into chunk, B mask).
+
+    The hits must arrive in ascending key order.  They do when the chunk's A
+    masks ascend: ``_hits`` lists them row by row, B masks ascend within a
+    row, and smask, kind and gamma are fixed per call.  A hit the collector
+    keeps is then never evicted by a later one of the same call, so only the
+    first ``cap`` hits can be kept, and after the first refusal none can.
+    """
     if rows.size == 0:
         return
     collector.total += int(rows.size)
-    last = -1
-    skip = False
-    for r, bmask in zip(rows.tolist(), cols.tolist()):
-        if r != last:
-            # every key of this A exceeds key(amask, 0, 0), so a full heap
-            # whose cutoff is below that lower bound cannot change
-            last = r
-            thresh = collector.threshold
-            skip = thresh is not None and _triple_key(n, chunk[r], 0, 0, kind, gamma) >= thresh
-        if skip:
-            continue
+    cap = collector.cap
+    for r, bmask in zip(rows[:cap].tolist(), cols[:cap].tolist()):
         lhs_r, rhs_r = int(lhs[r, bmask]), int(rhs[bmask])
-        collector.offer(*_witness(n, chunk[r], bmask, smask, kind, gamma, lhs_r, rhs_r))
+        if not collector.offer(*_witness(n, chunk[r], bmask, smask, kind, gamma, lhs_r, rhs_r)):
+            return
 
 
 def _vector_shard(

@@ -61,9 +61,10 @@ def _plan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-s", type=int, default=None)
     p.add_argument("--max-s", type=int, default=None)
     p.add_argument("--canonicalize", action="store_true",
-                   help="translate A so its minimum element index is 0 (B follows)")
+                   help="A is enumerated or drawn among the sets containing element 0")
     p.add_argument("--canonicalize-s", action="store_true",
-                   help="additionally translate S to contain 0 (B absorbs the shift)")
+                   help="a non-empty S is enumerated or drawn among the sets containing "
+                        "element 0")
     p.add_argument("--sample", type=int, default=None, metavar="N",
                    help="seeded random sampling instead of exhaustive enumeration")
     p.add_argument("--seed", type=int, default=None,
@@ -403,7 +404,7 @@ def _cmd_decompose(args, out: _Output) -> int:
     elif args.format == "csv":
         out.write("rep,fiber,size\n")
         for part in parts:
-            out.write(f'{part["rep"]},"{part["fiber"]}",{part["size"]}\n')
+            out.write(f'"{part["rep"]}","{part["fiber"]}",{part["size"]}\n')
     else:
         out.write(f"subgroup={format_set(h.members)} parts={dec.part_count}\n")
         for part in parts:

@@ -1,12 +1,12 @@
 """Dense subsets of a group and enumeration of (A, B, S) triples.
 
 Sets are immutable bitmaps over the group's element indices, stored in a
-single Python int.  Triple enumeration supports exact sharding and an
-optional translation canonicalization that shrinks exhaustive sweeps: since
-``|(g+A) +_{(g-h)+S} (h+B)| = |A +_S B|``, restricting A to sets whose
-minimum element index is 0 (translating B along, S fixed) covers every
-translation orbit.  An extra S-side reduction (``canonicalize_s``) pins
-0 in S by spending the second translation parameter on S, shifting B.
+single Python int.  Triple enumeration supports exact sharding and one
+canonicalization rule, read by the exhaustive and the sampled streams
+alike: ``canonicalize`` takes A, and ``canonicalize_s`` takes a non-empty S,
+among the sets containing element index 0.  Every B is still taken, so for
+the general and twisted operators, where ``(A + x, B + y, S + x - gamma*y)``
+keeps ``|A +_S B|``, the pinned streams still reach every lhs value.
 """
 
 from __future__ import annotations
@@ -193,14 +193,14 @@ def format_set(s: ElementSet) -> str:
 class EnumerationPlan:
     """Size-constrained enumeration of (A, B, S) triples over one group.
 
-    ``canonicalize`` restricts A to sets containing element index 0 (the
-    minimum-index translate of each diagonal orbit); ``canonicalize_s``
-    additionally restricts non-empty S to sets containing 0.  Exhaustive
+    ``canonicalize`` restricts A, and ``canonicalize_s`` a non-empty S, to
+    the sets containing element index 0, in both modes.  Exhaustive
     streams list each of A, B and S by size, then by ascending mask value
     (``size_masks``), so the scalar and the vectorized sweeps agree on which
     A masks a shard owns.  Sampled mode draws ``sample_count`` triples
-    reproducibly from ``seed``; each triple's RNG is derived independently,
-    so shards agree for any shard count.
+    reproducibly from ``seed``, a pinned set as 0 plus the rest drawn from
+    the other indices; each triple's RNG is derived independently, so
+    shards agree for any shard count.  The drawn triple is the one checked.
     """
 
     group: GroupSpec
@@ -251,7 +251,7 @@ class EnumerationPlan:
 
     def count_triples(self) -> int:
         if self.mode == "sampled":
-            return self.sample_count or 0
+            return self.sample_count
         return self.a_count() * self.b_count() * self.s_count()
 
 
@@ -346,38 +346,22 @@ def enumerate_triples(plan: EnumerationPlan, shard_index: int = 0, shard_count: 
 def _sampled_triples(plan: EnumerationPlan, shard_index: int, shard_count: int):
     g = plan.group
     n = g.order
-    for t in range(plan.sample_count or 0):
+
+    def draw(rng, size: int, pin_zero: bool) -> ElementSet:
+        """A set of ``size`` distinct indices; a pinned one is 0 plus size - 1 others."""
+        if pin_zero and size:
+            idx = [0, *(rng.choice(n - 1, size=size - 1, replace=False) + 1)]
+        else:
+            idx = rng.choice(n, size=size, replace=False)
+        return ElementSet.from_indices(g, (int(i) for i in idx))
+
+    for t in range(plan.sample_count):
         if t % shard_count != shard_index:
             continue
         rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(t,)))
         ka = int(rng.integers(plan.a_min, plan.a_max + 1))
         kb = int(rng.integers(plan.b_min, plan.b_max + 1))
         ks = int(rng.integers(plan.s_min, plan.s_max + 1))
-        a = ElementSet.from_indices(g, (int(i) for i in rng.choice(n, size=ka, replace=False)))
-        b = ElementSet.from_indices(g, (int(i) for i in rng.choice(n, size=kb, replace=False)))
-        s = ElementSet.from_indices(g, (int(i) for i in rng.choice(n, size=ks, replace=False)))
-        yield canonicalize_triple(a, b, s, plan.canonicalize, plan.canonicalize_s)
-
-
-def canonicalize_triple(
-    a: ElementSet, b: ElementSet, s: ElementSet, canonicalize: bool, canonicalize_s: bool = False
-):
-    """Apply the translation normalizations an exhaustive canonical stream uses.
-
-    A and B are translated together so A's minimum element index becomes 0
-    (S is unchanged); with ``canonicalize_s`` a second translation moves S to
-    contain 0, shifting B.  Both leave |A +_S B| unchanged.  The twisted
-    operator at gamma != 1 keeps its size when B moves by x/gamma instead, so
-    there the canonical triple's lhs can differ from the drawn one's; the
-    canonical triple is the one checked and reported.
-    """
-    g = a.group
-    if canonicalize and a.bits:
-        shift = g.neg(g.index_element(a.min_index()))
-        a = a.translate(shift)
-        b = b.translate(shift)
-    if canonicalize_s and s.bits:
-        s_shift = g.index_element(s.min_index())
-        s = s.translate(g.neg(s_shift))
-        b = b.translate(s_shift)
-    return a, b, s
+        a = draw(rng, ka, plan.canonicalize)
+        b = draw(rng, kb, False)
+        yield a, b, draw(rng, ks, plan.canonicalize_s)

@@ -212,6 +212,9 @@ def _check_hypotheses(inst: SdrInstance) -> None:
         if m + n - 3 * h > p:
             raise HypothesisViolation(f"m + n - 3|S| = {m + n - 3 * h} must be <= p(G) = {p}")
     else:
+        if h:
+            raise HypothesisViolation(f"variant lemma32 takes no S (it selects from A + B), "
+                                      f"got |S| = {h}")
         if m + n - 1 > p:
             raise HypothesisViolation(f"m + n - 1 = {m + n - 1} must be <= p(G) = {p}")
 
@@ -253,8 +256,7 @@ def sdr_select(inst: SdrInstance) -> SdrSolution:
     a_idx = [g.element_index(e) for e in inst.a]
     b_idx = [g.element_index(e) for e in inst.b]
     excluded = {t.add[bj][a_idx[0]] for bj in b_idx}
-    # lemma32 selects from the plain sumset; the others need a_i - b_j not in S
-    sbits = 0 if inst.variant is SdrVariant.LEMMA32 else inst.s.bits
+    sbits = inst.s.bits  # a_i - b_j must lie outside S; lemma32 has S = {}
     w, first = _window_rule(inst)
     records: list[dict[int, tuple[int, int]]] = []
     for k in range(first, inst.m - w + 1):

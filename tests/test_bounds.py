@@ -290,14 +290,24 @@ class TestExhaustiveVerify:
             again = rl.check_triple(g, rep.a, rep.b, rep.s, rep.kind, rep.gamma)
             assert (again.lhs, again.rhs, again.tight) == (rep.lhs, rep.rhs, True)
 
-    def test_witness_cap_matches_global_sort(self):
+    def test_witness_cap_matches_global_sort(self, monkeypatch):
+        # a harvest keeps at most the first cap hits of each table, so every
+        # cap, chunk size and shard count must still give the global prefix
         g = rl.parse_group("Z5")
         plan = rl.EnumerationPlan(group=g, s_min=1, s_max=1)
         big = rl.exhaustive_verify(plan, [BoundKind.PAN_SUN], max_witnesses=10 ** 6)
-        small = rl.exhaustive_verify(plan, [BoundKind.PAN_SUN], max_witnesses=7)
-        want = [r.to_row() for r in big.tight[:7]]
-        assert [r.to_row() for r in small.tight] == want
-        assert big.tight_count == small.tight_count == len(big.tight)
+        assert big.tight_count == len(big.tight)
+        for cap in (1, 7):
+            want = [r.to_row() for r in big.tight[:cap]]
+            for rows in (None, 1, 3):
+                for shards in (1, 3):
+                    with monkeypatch.context() as mp:
+                        if rows:
+                            mp.setattr(bounds, "_CHUNK_BYTES", _chunk_budget(g, rows))
+                        small = rl.exhaustive_verify(plan, [BoundKind.PAN_SUN],
+                                                     max_witnesses=cap, shard_count=shards)
+                    assert [r.to_row() for r in small.tight] == want, (cap, rows, shards)
+                    assert small.tight_count == big.tight_count
 
     def test_duality_consistency_of_lhs(self):
         # |A +_S B| = |(-B) +_S (-A)| triple-for-triple on swept kinds
@@ -503,15 +513,18 @@ class TestChunkBoundaries:
         g = rl.parse_group("Z5")
         plan = rl.EnumerationPlan(group=g, s_min=0, s_max=2)
         for kind in (BoundKind.ANR, BoundKind.ERDOS_HEILBRONN, BoundKind.THM2):
-            default = [r.to_row() for r in rl.search_witnesses(plan, kind, "counterexample")]
-            slow = [r.to_row() for r in
-                    rl.search_witnesses(plan, kind, "counterexample", force_scalar=True)]
-            assert default == slow
-            for rows in (1, 3):
-                with monkeypatch.context() as mp:
-                    mp.setattr(bounds, "_CHUNK_BYTES", _chunk_budget(g, rows))
-                    small = rl.search_witnesses(plan, kind, "counterexample")
-                assert [r.to_row() for r in small] == slow
+            slow = [r.to_row() for r in rl.search_witnesses(
+                plan, kind, "counterexample", force_scalar=True, max_witnesses=10 ** 6)]
+            for cap in (1, 3, rl.DEFAULT_MAX_WITNESSES):
+                default = [r.to_row() for r in
+                           rl.search_witnesses(plan, kind, "counterexample", max_witnesses=cap)]
+                assert default == slow[:cap], (kind, cap)
+                for rows in (1, 3):
+                    with monkeypatch.context() as mp:
+                        mp.setattr(bounds, "_CHUNK_BYTES", _chunk_budget(g, rows))
+                        small = rl.search_witnesses(plan, kind, "counterexample",
+                                                    max_witnesses=cap)
+                    assert [r.to_row() for r in small] == slow[:cap], (kind, cap, rows)
 
     def test_small_chunks_prune(self, monkeypatch):
         g = rl.parse_group("Z8")
@@ -691,6 +704,35 @@ class TestTwistedCanonicalization:
             full = lhs_by_class(gamma)
             assert lhs_by_class(gamma, canonicalize=True) == full
             assert lhs_by_class(gamma, canonicalize=True, canonicalize_s=True) == full
+
+    def test_sampled_canonical_rows_are_the_drawn_triples(self):
+        # a sampled canonical sweep checks and reports the triple it drew, so
+        # every row re-checks on exactly that triple, and pinning S leaves the
+        # counts of the operators that fix their own S as they were
+        g = rl.parse_group("Z7")
+
+        def sweep(**canon):
+            plan = rl.EnumerationPlan(group=g, s_min=0, s_max=2, mode="sampled",
+                                      sample_count=400, seed=5, **canon)
+            return plan, rl.exhaustive_verify(plan, list(K), gammas=[2, 3],
+                                              max_witnesses=10 ** 6)
+
+        plan, summary = sweep(canonicalize=True, canonicalize_s=True)
+        rows = summary.violations + summary.tight
+        assert len(rows) == summary.violation_count + summary.tight_count > 0
+        assert {r.gamma for r in rows if r.kind is K.TWISTED_PAN_SUN} == {2, 3}
+        drawn = {(a.bits, b.bits, s.bits) for a, b, s in rl.enumerate_triples(plan)}
+        for rep in rows:
+            assert (rep.a.bits, rep.b.bits, rep.s.bits) in drawn
+            again = rl.check_triple(g, rep.a, rep.b, rep.s, rep.kind, rep.gamma)
+            assert (again.lhs, again.rhs, again.tight) == (rep.lhs, rep.rhs, rep.tight)
+
+        def fixed_s_rows(summary):
+            return sorted((r.kind.value, r.a.bits, r.b.bits, r.lhs, r.rhs)
+                          for r in summary.violations + summary.tight if not r.kind.reads_s)
+
+        unpinned_s = sweep(canonicalize=True)[1]
+        assert fixed_s_rows(summary) == fixed_s_rows(unpinned_s) != []
 
     @pytest.mark.parametrize("canonicalize_s", [False, True])
     def test_canonical_twisted_sweeps(self, canonicalize_s):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -371,6 +373,9 @@ GOLDEN_SAMPLED_JSON = {
     "search --group Z7 --bound twisted --gamma 1 --gamma 6 --sample 300 --seed 3 "
     "--min-s 1 --max-s 2":
         "a2039370e2d5a488976eb1844c15d523215d9da95ca0da4cd80f707838f338a1",
+    # A and S drawn among the sets containing 0, and checked as drawn
+    "verify --group Z13 --bound all --sample 500 --seed 3 --canonicalize --canonicalize-s":
+        "8ea430f90bb23387c186698bcda7fdc4f03260015745df3cffbe0cab0ebbe493",
 }
 
 
@@ -467,6 +472,33 @@ class TestStructureCommands:
         )
         assert code == 2
         assert ">=" in err
+
+    def test_sdr_lemma32_with_s_exit_2(self, capsys):
+        # lemma32 selects from A + B; an S it would not read is an input error
+        code, out, err = run_cli(
+            capsys, "sdr", "--group", "Z5", "--A", "{0,1}", "--B", "{0,2}",
+            "--S", "{0,1,2,3,4}", "--variant", "lemma32",
+        )
+        assert (code, out) == (2, "")
+        assert "lemma32" in err
+
+    def test_csv_rows_match_header_on_rank_2(self, capsys):
+        # elements of a rank-2 group contain commas, so every field holding
+        # one must be quoted
+        for argv in (
+            ("sumset", "--A", "{(0,0),(0,1)}", "--B", "{(0,0),(1,2)}", "--S", "{(0,0)}"),
+            ("decompose", "--set", "{(0,0),(0,1),(1,2)}", "--subgroup", "{(0,0),(0,2)}"),
+            ("stabilizer", "--set", "{(0,0),(0,2)}"),
+            ("classify", "--A", "{(0,1)}", "--B", "{(1,2)}"),
+            ("sdr", "--A", "{(0,0),(0,1),(0,2),(0,3)}", "--B", "{(1,0)}", "--S", "{(0,0)}",
+             "--variant", "lemma33"),
+        ):
+            code, out, _ = run_cli(capsys, argv[0], "--group", "Z2xZ4", *argv[1:],
+                                   "--format", "csv")
+            assert code == 0, argv[0]
+            header, *rows = csv.reader(io.StringIO(out))
+            assert rows, argv[0]
+            assert all(len(row) == len(header) for row in rows), argv[0]
 
     def test_json_formats(self, capsys):
         for argv in (

@@ -112,9 +112,10 @@ class TestEnumeration:
         plan = rl.EnumerationPlan(group=g, a_max=1, b_max=1, s_min=1, s_max=1)
         seen = set()
         for a, b, s in rl.enumerate_triples(plan):
-            ca, cb, cs = rl.canonicalize_triple(a, b, s, canonicalize=True)
+            shift = g.neg(g.index_element(a.min_index()))
+            ca, cb = a.translate(shift), b.translate(shift)
             assert ca.min_index() == 0
-            seen.add((ca.bits, cb.bits, cs.bits))
+            seen.add((ca.bits, cb.bits, s.bits))
         cplan = rl.EnumerationPlan(
             group=g, a_max=1, b_max=1, s_min=1, s_max=1, canonicalize=True
         )
@@ -151,10 +152,36 @@ class TestEnumeration:
         g = rl.parse_group("Z7")
         plan = rl.EnumerationPlan(group=g, a_max=3, b_max=3, s_min=1, s_max=2)
         for a, b, s in rl.enumerate_triples(plan, shard_index=0, shard_count=17):
-            ca, cb, cs = rl.canonicalize_triple(a, b, s, True, True)
+            # (A + x, B + y, S + x - y) with x = -min A, then y moving S onto 0
+            shift = g.neg(g.index_element(a.min_index()))
+            ca, cb = a.translate(shift), b.translate(shift)
+            s_shift = g.index_element(s.min_index())
+            cs, cb = s.translate(g.neg(s_shift)), cb.translate(s_shift)
             assert ca.contains_index(0) and cs.contains_index(0)
             lhs = rl.generalized_restricted_sumset(a, b, s).size
             assert rl.generalized_restricted_sumset(ca, cb, cs).size == lhs
+
+    @pytest.mark.parametrize("name", ["Z7", "Z131"])
+    def test_sampled_canonical_draws_pin_zero(self, name):
+        # the sampled streams read the exhaustive streams' rule: A, and a
+        # non-empty S, contain element 0 (index 0)
+        g = rl.parse_group(name)
+        cap = min(g.order, 9)
+        sizes = dict(a_max=cap, b_max=cap, s_min=0, s_max=3)
+        plan = rl.EnumerationPlan(group=g, mode="sampled", sample_count=300, seed=4,
+                                  canonicalize=True, canonicalize_s=True, **sizes)
+        drawn = [(a.bits, b.bits, s.bits) for a, b, s in rl.enumerate_triples(plan)]
+        assert len(drawn) == 300
+        for a, b, s in drawn:
+            assert a & 1 and (s & 1 or not s)
+            assert 1 <= a.bit_count() <= cap and 1 <= b.bit_count() <= cap
+            assert s.bit_count() <= 3
+        assert {s.bit_count() for _, _, s in drawn} == {0, 1, 2, 3}
+        if g.order == 7:
+            exhaustive = rl.EnumerationPlan(group=g, canonicalize=True, canonicalize_s=True,
+                                            **sizes)
+            keys = {(a.bits, b.bits, s.bits) for a, b, s in rl.enumerate_triples(exhaustive)}
+            assert set(drawn) <= keys
 
     def test_shards_cover_disjointly(self):
         g = rl.parse_group("Z5")
