@@ -21,6 +21,8 @@ memory); everything here is internal API.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .groups import GroupSpec, index_table
@@ -42,6 +44,19 @@ class MaskTables:
         self.index = index_table(group)
         self.add = self.index.add_array()
         self.pops = popcount_table(n)
+
+    @functools.cached_property
+    def translation_rep(self) -> np.ndarray:
+        """rep[m] = the least mask among the translates x + m, one value per translation class.
+
+        Built on first use, as n - 1 union tables: the singletons {x + b} of a
+        fixed x map each mask m to the mask of x + m.
+        """
+        rep = np.arange(1 << self.n, dtype=MASK_DTYPE)  # x = 0
+        for x in range(1, self.n):
+            singles = (np.int64(1) << self.add[x]).astype(MASK_DTYPE)  # bit x + b for each b
+            np.minimum(rep, union_table(singles, self.n), out=rep)
+        return rep
 
     # -- contribution masks --------------------------------------------------------
     #

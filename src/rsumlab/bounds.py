@@ -7,9 +7,11 @@ check plan per (|A|, |S|) class (``_size_class``) says which (kind, gamma)
 checks run and whether B must equal A, and ``_check_rhs`` gives their rhs
 at each |B|; both sweep paths read them.  Exhaustive sweeps go class first: for each |A| with checks
 left they gather the checks of all its |S| classes under the (S, gamma)
-their operator reads, take chunks of its A masks, one slice of the
-popcount table, and evaluate all B at once through the mask tables in
-``_masks``.  A scalar fallback walks the triple stream one triple at a time,
+their operator reads, group its A masks, one slice of the popcount table,
+by translation class, and evaluate all B at once through the mask tables
+in ``_masks``, once per class: a translate of A has the same hit counts.
+Witness rows come from a second pass over the first A masks with hits.
+A scalar fallback walks the triple stream one triple at a time,
 evaluating each operator once per triple by the engine's pair loop, and is
 kept bit-for-bit consistent with the vectorized path (tests compare the two).
 
@@ -455,10 +457,11 @@ def _planned_checks(plan: EnumerationPlan, cfg: _SweepConfig, work_ceiling: int)
     """The sweep's (A, B, S, kind, gamma) check count, which must be in [1, work_ceiling]."""
     checks = plan.count_triples() * sum(len(_kind_gammas(k, cfg)) for k in cfg.kinds)
     if checks == 0:
-        # only twisted kinds can contribute no checks: they have no gammas off Z_p
+        # only twisted kinds can contribute no checks: they have no gammas off Z_p,
+        # and on Z2 none by default, where 1 = -1
         raise ValueError(
-            f"no checks planned: the twisted bound needs a prime cyclic group, "
-            f"got {format_group(plan.group)}"
+            f"no checks planned: the twisted bound needs a prime cyclic group and a "
+            f"gamma other than 0 and -1, got {format_group(plan.group)}"
         )
     if checks > work_ceiling:
         raise WorkCeilingExceeded(
@@ -536,17 +539,16 @@ def _hits(cmp, lhs, rhs, amasks, n, same):
 
 
 def _harvest(collector: _TopK, rows, cols, chunk, smask, kind, gamma, lhs, rhs, n) -> None:
-    """Record the hits (rows[i], cols[i]) = (index into chunk, B mask).
+    """Offer the hits (rows[i], cols[i]) = (index into chunk, B mask) as witnesses.
 
-    The hits must arrive in ascending key order.  They do when the chunk's A
-    masks ascend: ``_hits`` lists them row by row, B masks ascend within a
-    row, and smask, kind and gamma are fixed per call.  A hit the collector
-    keeps is then never evicted by a later one of the same call, so only the
-    first ``cap`` hits can be kept, and after the first refusal none can.
+    It only offers: the kernel's counting stage has already added every hit
+    to the collector's total.  The hits must arrive in ascending key order.
+    They do when the chunk's A masks ascend: ``_hits`` lists them row by row,
+    B masks ascend within a row, and smask, kind and gamma are fixed per
+    call.  A hit the collector keeps is then never evicted by a later one of
+    the same call, so only the first ``cap`` hits can be kept, and after the
+    first refusal none can.
     """
-    if rows.size == 0:
-        return
-    collector.total += int(rows.size)
     cap = collector.cap
     for r, bmask in zip(rows[:cap].tolist(), cols[:cap].tolist()):
         lhs_r, rhs_r = int(lhs[r, bmask]), int(rhs[bmask])
@@ -557,19 +559,28 @@ def _harvest(collector: _TopK, rows, cols, chunk, smask, kind, gamma, lhs, rhs, 
 def _vector_shard(
     plan: EnumerationPlan, cfg: _SweepConfig, shard_index: int, shard_count: int
 ) -> _ShardResult:
-    """Evaluate every B at once: each (|A|, |S|) class once, then its chunks of A.
+    """Evaluate every B at once, one size table per translation class of A.
 
     For each |A| the shard's masks are one slice of the popcount table.  Each
-    class is planned and counted once, its rhs read out over B by the B
-    popcounts, and its checks are gathered under the (S, gamma) that their
-    operator reads, in one key map for all classes of that |A|.  Only sizes
-    with checks left are walked in chunks.  Size tables hold |A +_S B| for
-    the whole chunk, one per key: the chunk's translates b + A less the
+    (|A|, |S|) class is planned and counted once, its rhs read out over B by
+    the B popcounts, and its checks are gathered under the (S, gamma) that
+    their operator reads, in one key map for all classes of that |A|.  Only
+    sizes with checks left are walked.  Size tables hold |A +_S B| for a
+    chunk of A masks, one per key: the chunk's translates b + A less the
     exclusions (1+gamma)*b + S, whose row is built once per shard.  They are
     built a batch of keys per ``_masks.size_table_batch`` call, within
-    ``_CHUNK_BYTES``, and each batch's checks run before the next is built,
-    so each key's table is built once per chunk and compared with each rhs
-    once.
+    ``_CHUNK_BYTES``, and each batch's checks run before the next is built.
+
+    Two stages use these tables.  The counting stage builds them once per
+    translation class of the shard's A masks, for its least member
+    (``MaskTables.translation_rep``): (A, B, S) -> (A + x, B + x/gamma, S)
+    keeps the lhs, |B| and B = A (the only B = A checks are at gamma = 1), so
+    a check has as many hits over all B for each owned member of a class as
+    for the class's least member, and the hits are counted once per member.
+    Triple keys sort by A mask first, so a collector's ``cap`` least keys
+    come from its first ``cap`` owned A masks, over all sizes, whose class
+    had a hit.  The witness stage builds those masks' tables again, for the
+    keys their class had hits at, and ``_harvest`` offers their hits.
     """
     g = plan.group
     n = g.order
@@ -581,8 +592,11 @@ def _vector_shard(
     # one comparison per table: lhs <= rhs when both collectors are on, split by lhs < rhs
     both = cfg.collect_violations and cfg.collect_tight
     cmp = np.less_equal if both else np.less if cfg.collect_violations else np.equal
-    only = res.violations if cfg.collect_violations else res.tight  # when not both
-
+    if both:
+        collectors = (res.violations, res.tight)
+    else:
+        collectors = (res.violations if cfg.collect_violations else res.tight,)
+    cap = cfg.max_witnesses
     chunk_rows = _chunk_rows(n)
 
     @functools.cache
@@ -590,15 +604,13 @@ def _vector_shard(
         """The bits each translate keeps at the operator's (S, gamma): ~exclusions."""
         return (~t.exclusions(smask, gamma)).astype(_masks.MASK_DTYPE)
 
-    position = 0  # stream position of the first mask of size m
-    for m in range(plan.a_min, plan.a_max + 1):
-        masks = size_mask_array(t.pops, m, plan.canonicalize)
-        mine = masks[(shard_index - position) % shard_count::shard_count]
-        position += masks.size
-        work: dict[tuple[int, int], list] = {}  # the operator's (S, gamma) -> its checks
+    def key_map(m):
+        """|A| = m's key map, (S, gamma) -> checks, and its (|S| masks, evaluated, pruned)."""
+        work: dict[tuple[int, int], list] = {}
+        classes = []
         for h, s_list in s_by_size.items():
             checks, evaluated, pruned = _size_class(plan, cfg, m, h)
-            res.count(mine.size * len(s_list) * b_count, evaluated, pruned)
+            classes.append((len(s_list), evaluated, pruned))
             for kind, gamma, same in checks:
                 rhs = _check_rhs(plan, cfg, kind, gamma, m, h, range(n + 1))
                 if max(rhs) < 0:
@@ -607,29 +619,87 @@ def _vector_shard(
                 for smask in s_list:
                     key = _operator_s_gamma(kind, smask, gamma)
                     work.setdefault(key, []).append((smask, kind, gamma, same, rhs))
-        if not work:
-            continue
-        keys = list(work)
-        for first in range(0, mine.size, chunk_rows):
-            amasks = mine[first:first + chunk_rows]
-            chunk = amasks.tolist()  # Python ints: triple keys overflow int64 at order 20
-            translates = t.cmasks_general(amasks, 0)
+        return work, classes
+
+    def tables(amasks, keys):
+        """(rows, j, lhs) per chunk of ``amasks`` and ``keys[j]``; rows slices amasks."""
+        for first in range(0, amasks.size, chunk_rows):
+            rows = slice(first, first + chunk_rows)
+            translates = t.cmasks_general(amasks[rows], 0)
             # a batch holds at most as many table rows as a full chunk
             per_batch = max(1, chunk_rows // len(translates))
             for i in range(0, len(keys), per_batch):
                 batch = keys[i:i + per_batch]
                 cmasks = np.stack([kept(*key) for key in batch])[:, None] & translates
                 sizes = _masks.size_table_batch(cmasks.reshape(-1, n), n)
-                for key, lhs in zip(batch, sizes.reshape(len(batch), len(translates), 1 << n)):
-                    for smask, kind, gamma, same, rhs in work[key]:
-                        rows, cols = _hits(cmp, lhs, rhs, amasks, n, same)
-                        hit = (chunk, smask, kind, gamma, lhs, rhs, n)
-                        if not both:
-                            _harvest(only, rows, cols, *hit)
-                        elif rows.size:  # split the lhs <= rhs hits
-                            below = lhs[rows, cols] < rhs[cols]
-                            _harvest(res.violations, rows[below], cols[below], *hit)
-                            _harvest(res.tight, rows[~below], cols[~below], *hit)
+                for j, lhs in enumerate(sizes.reshape(len(batch), len(translates), 1 << n), i):
+                    yield rows, j, lhs
+
+    # counting stage; firsts[c] holds (A mask, |A|, indices of keys with a hit)
+    # for the first cap owned A masks whose class had a hit in collectors[c]
+    firsts: list[list[tuple]] = [[] for _ in collectors]
+    position = 0  # stream position of the first mask of size m
+    for m in range(plan.a_min, plan.a_max + 1):
+        masks = size_mask_array(t.pops, m, plan.canonicalize)
+        mine = masks[(shard_index - position) % shard_count::shard_count]
+        position += masks.size
+        work, classes = key_map(m)
+        for s_count, evaluated, pruned in classes:
+            res.count(mine.size * s_count * b_count, evaluated, pruned)
+        if not work:
+            continue
+        keys = list(work)
+        reps, member_rep, weight = np.unique(
+            t.translation_rep[mine], return_inverse=True, return_counts=True)
+        # hit_at[c, j, r]: class r had a hit for collectors[c] at keys[j]
+        hit_at = np.zeros((len(collectors), len(keys), reps.size), dtype=bool)
+        for rows, j, lhs in tables(reps, keys):
+            ar = reps[rows]
+            for smask, kind, gamma, same, rhs in work[keys[j]]:
+                if same:  # only B = A: one entry per row
+                    lhs_h, rhs_h = lhs[np.arange(ar.size), ar][:, None], rhs[ar][:, None]
+                else:
+                    lhs_h, rhs_h = lhs, rhs
+                hit = cmp(lhs_h, rhs_h)
+                if not hit.any():
+                    continue
+                per_row = np.count_nonzero(hit, axis=1)
+                counts = (per_row,)
+                if both:  # split the lhs <= rhs hits
+                    below = np.count_nonzero(lhs_h < rhs_h, axis=1)
+                    counts = (below, per_row - below)
+                for c, (collector, count) in enumerate(zip(collectors, counts)):
+                    collector.total += int(count @ weight[rows])
+                    hit_at[c, j, rows] |= count > 0
+        if cap:
+            keys_hit = hit_at.any(axis=0)
+            for c, first in enumerate(firsts):
+                picks = np.flatnonzero(hit_at[c].any(axis=0)[member_rep])[:cap]
+                first.extend((a, m, np.flatnonzero(keys_hit[:, r]).tolist()) for a, r in
+                             zip(mine[picks].tolist(), member_rep[picks].tolist()))
+                first.sort()
+                del first[cap:]
+
+    # witness stage: rebuild the chosen A masks, an |A| at a time
+    chosen: dict[int, dict[int, list]] = {}  # |A| -> A mask -> key indices
+    for amask, m, key_indices in (pick for first in firsts for pick in first):
+        chosen.setdefault(m, {})[amask] = key_indices
+    for m, picks in sorted(chosen.items()):
+        work = key_map(m)[0]
+        keys = list(work)
+        amasks = np.array(sorted(picks), dtype=np.int64)
+        wanted = [keys[i] for i in sorted(set().union(*picks.values()))]
+        for rows, j, lhs in tables(amasks, wanted):
+            chunk = amasks[rows].tolist()  # Python ints: triple keys overflow int64 at order 20
+            for smask, kind, gamma, same, rhs in work[wanted[j]]:
+                rows_hit, cols = _hits(cmp, lhs, rhs, amasks[rows], n, same)
+                hit = (chunk, smask, kind, gamma, lhs, rhs, n)
+                if not both:
+                    _harvest(collectors[0], rows_hit, cols, *hit)
+                elif rows_hit.size:  # split the lhs <= rhs hits
+                    below = lhs[rows_hit, cols] < rhs[cols]
+                    _harvest(res.violations, rows_hit[below], cols[below], *hit)
+                    _harvest(res.tight, rows_hit[~below], cols[~below], *hit)
     return res
 
 
@@ -723,8 +793,8 @@ def _payload_report(plan: EnumerationPlan, payload: tuple, hypothesis_dropped: b
 
 
 def default_gammas(p: int) -> range:
-    """The gammas a twisted sweep on Z_p checks by default: all but 0 and -1."""
-    return range(1, max(p - 1, 2))
+    """The gammas a twisted sweep on Z_p checks by default: all but 0 and -1, none on Z2."""
+    return range(1, p - 1)
 
 
 def _normalize_gammas(plan: EnumerationPlan, kinds, gammas) -> tuple[int, ...]:

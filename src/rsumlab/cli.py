@@ -207,12 +207,15 @@ def _threads(args) -> int:
 
 
 def _parse_kinds(names: list[str], group) -> list[BoundKind]:
-    """The named kinds in order; ``all`` leaves out twisted off Z_p, where it has no checks."""
+    """The named kinds in order; ``all`` leaves out twisted where it has no default gamma.
+
+    That is off Z_p, and on Z2, where the one non-zero gamma is -1.
+    """
+    twists = group.is_prime_cyclic and bool(default_gammas(group.order))
     kinds: list[BoundKind] = []
     for name in names:
         if name == "all":
-            kinds.extend(k for k in ALL_KINDS
-                         if group.is_prime_cyclic or k is not BoundKind.TWISTED_PAN_SUN)
+            kinds.extend(k for k in ALL_KINDS if twists or k is not BoundKind.TWISTED_PAN_SUN)
         else:
             kinds.append(kind_from_name(name))
     return list(dict.fromkeys(kinds))

@@ -573,35 +573,42 @@ class TestChunkBoundaries:
 
         ``--bound all`` on Z7 with two gammas mixes all four operators in one
         sweep: every |S| class of an |A| shares its S = {} and S = {0} keys,
-        and general and twisted keys share each S.  Each (A, key) table is
-        built exactly once whatever the batching.
+        and general and twisted keys share each S.  The counting stage builds
+        each (translation class, key) table exactly once whatever the
+        batching; the witness stage adds at most cap rows per key.
         """
         g = rl.parse_group("Z7")
         plan = rl.EnumerationPlan(group=g, a_max=2, b_max=2, s_min=0, s_max=2)
         kinds, gammas = bounds.ALL_KINDS, [2, 3]
 
         def run(**kw):
-            return rl.exhaustive_verify(plan, kinds, gammas=gammas, **kw).to_json(
-                include_timing=False)
+            return rl.exhaustive_verify(plan, kinds, gammas=gammas, **kw)
 
-        slow = run(force_scalar=True)
         build = _masks.size_table_batch
-        rows_per_call = []
         # whole classes in one chunk each: every key of a class in one batch,
-        # then 4 keys of the 21-row chunk per batch; last, one row and one key
-        for budget in (1 << 30, _chunk_budget(g, 4 * 21), _chunk_budget(g, 1)):
-            rows = []
-            with monkeypatch.context() as mp:
-                mp.setattr(bounds, "_CHUNK_BYTES", budget)
-                mp.setattr(_masks, "size_table_batch",
-                           lambda cmasks, n: rows.append(len(cmasks)) or build(cmasks, n))
-                assert run() == slow, budget
-            rows_per_call.append(rows)
-        one, several, single = rows_per_call
+        # then 4 keys of a 21-row chunk per batch; last, one row and one key
+        budgets = (1 << 30, _chunk_budget(g, 4 * 21), _chunk_budget(g, 1))
+        caps = (0, 5)
+        rows_per_call = {}
+        for cap in caps:
+            slow = run(force_scalar=True, max_witnesses=cap)
+            assert slow.violation_count == 0  # only the tight collector picks A masks
+            for budget in budgets:
+                rows = []
+                with monkeypatch.context() as mp:
+                    mp.setattr(bounds, "_CHUNK_BYTES", budget)
+                    mp.setattr(_masks, "size_table_batch",
+                               lambda cmasks, n: rows.append(len(cmasks)) or build(cmasks, n))
+                    fast = run(max_witnesses=cap)
+                assert fast.to_json(include_timing=False) == slow.to_json(include_timing=False)
+                rows_per_call[cap, budget] = rows
+        one, several, single = (rows_per_call[0, budget] for budget in budgets)
         assert len(one) < len(several) < len(single)
         assert max(one) > 4 * 21 and max(several) == 4 * 21 and set(single) == {1}
-        # one table row per A mask and operator (S, gamma) key that some check reads
+        # one counting row per translation class with an owned member and
+        # operator (S, gamma) key that some check reads
         p = g.least_prime
+        rep = _masks.tables_for(g).translation_rep
         pairs = set()
         for amask in range(1 << g.order):
             m = amask.bit_count()
@@ -614,8 +621,12 @@ class TestChunkBoundaries:
                         if any(not bounds._failed_hypothesis(kind, g, m, k, h, gamma)
                                and bounds.bound_value(kind, m, k, h, p) >= 0
                                for k in range(plan.b_min, plan.b_max + 1)):
-                            pairs.add((amask, bounds._operator_s_gamma(kind, smask, gamma)))
+                            pairs.add((int(rep[amask]), bounds._operator_s_gamma(kind, smask, gamma)))
         assert sum(one) == sum(several) == sum(single) == len(pairs)
+        keys = {key for _, key in pairs}
+        for budget in budgets:
+            witness_rows = sum(rows_per_call[caps[1], budget]) - len(pairs)
+            assert 0 < witness_rows <= caps[1] * len(keys), budget
 
 
 class TestViolationsAndTightInOneTable:
@@ -655,6 +666,57 @@ class TestViolationsAndTightInOneTable:
                 with monkeypatch.context() as mp:
                     mp.setattr(bounds, "_CHUNK_BYTES", _chunk_budget(g, rows))
                     assert run() == slow, (what, rows)
+
+
+class TestTranslationClasses:
+    """The kernel builds one counting table per translation class of A.
+
+    (A, B, S) -> (A + x, B + x/gamma, S) keeps the lhs, so every member of a
+    class has the same hit counts over all B; witnesses are rebuilt for the
+    first cap owned A masks whose class had a hit.
+    """
+
+    @pytest.mark.parametrize("g", rl.abelian_groups_up_to(10), ids=rl.format_group)
+    def test_rep_is_least_translate(self, g):
+        rep = _masks.tables_for(g).translation_rep
+        want = [min(rl.ElementSet(g, m).translate(x).bits for x in g.elements())
+                for m in range(1 << g.order)]
+        assert rep.tolist() == want
+
+    @pytest.mark.parametrize("canonicalize,canonicalize_s",
+                             [(False, False), (True, False), (False, True), (True, True)])
+    @pytest.mark.parametrize("name,a_max,b_max,s_max", [("Z7", 3, 2, 2), ("Z11", 3, 1, 1)])
+    def test_each_shard_matches_scalar_twisted(self, monkeypatch, name, a_max, b_max, s_max,
+                                               canonicalize, canonicalize_s):
+        # twisted's rhs raised by 2, so both collectors get hits in many classes
+        info = bounds._KIND_INFO[K.TWISTED_PAN_SUN]
+        monkeypatch.setitem(bounds._KIND_INFO, K.TWISTED_PAN_SUN,
+                            dataclasses.replace(info, c0=info.c0 + 2))
+        g = rl.parse_group(name)
+        plan = rl.EnumerationPlan(group=g, a_max=a_max, b_max=b_max, s_min=1, s_max=s_max,
+                                  canonicalize=canonicalize, canonicalize_s=canonicalize_s)
+
+        def shards(count, cap, force_scalar):
+            cfg = bounds._SweepConfig(
+                kinds=(K.TWISTED_PAN_SUN,), gammas=(2, 3, 5), collect_violations=True,
+                collect_tight=True, ignore_applicability=False, max_witnesses=cap,
+                prune=False, force_scalar=force_scalar,
+            )
+            return [bounds._shard_worker((plan, cfg, i, count)) for i in range(count)]
+
+        for count in (1, 2, 3):
+            # a collector of cap c keeps the c least keys, so each cap's
+            # witnesses are a prefix of the uncapped ones
+            slow = shards(count, 10 ** 6, True)
+            assert all(r.violations.total and r.tight.total for r in slow)
+            for cap in (0, 1, 7, 100):
+                for fast, want in zip(shards(count, cap, False), slow):
+                    assert (fast.evaluated, fast.pruned, fast.triples) == (
+                        want.evaluated, want.pruned, want.triples)
+                    for got, full in ((fast.violations, want.violations),
+                                      (fast.tight, want.tight)):
+                        assert got.total == full.total, (count, cap)
+                        assert got.sorted_payloads() == full.sorted_payloads()[:cap], (count, cap)
 
 
 class TestTwistedCanonicalization:

@@ -287,6 +287,23 @@ class TestNonsenseCounts:
         assert out.startswith("group=Z6 kinds=cd,kneser,eh,anr,karolyi,bw,pansun,thm1,ppow,"
                               "thm2,prop34 ")
 
+    @pytest.mark.parametrize("gamma", [(), ("--gamma", "all")])
+    def test_twisted_on_z2_exit_2(self, capsys, gamma):
+        # the one non-zero gamma of Z2 is 1 = -1, which the twisted bound excludes
+        assert list(bounds.default_gammas(2)) == []
+        code, out, err = run_cli(capsys, "verify", "--group", "Z2", "--bound", "twisted",
+                                 *gamma, "--no-timing")
+        assert (code, out) == (2, "")
+        assert "no checks planned" in err
+
+    def test_bound_all_on_z2_leaves_out_twisted(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--group", "Z2", "--bound", "all",
+                               "--no-timing", "--format", "json")
+        assert code == 0
+        summary = json.loads(out)
+        assert "twisted" not in summary["kinds"] and summary["constraints"]["gammas"] == []
+        assert summary["checks_planned"] == 18 * 11
+
     def test_negative_max_witnesses_exit_2(self, capsys):
         for command in (("verify", "--bound", "thm1"), ("search", "--bound", "thm1")):
             code, out, err = run_cli(capsys, *command, "--group", "Z5", "--max-witnesses", "-3",
