@@ -10,7 +10,7 @@ left they gather the checks of all its |S| classes under the (S, gamma)
 their operator reads, group its A masks, one slice of the popcount table,
 by translation class, and evaluate all B at once through the mask tables
 in ``_masks``, once per class: a translate of A has the same hit counts.
-Witness rows come from a second pass over the first A masks with hits.
+The same pass over each |A| harvests witness rows from its first A masks with hits.
 A scalar fallback walks the triple stream one triple at a time,
 evaluating each operator once per triple by the engine's pair loop, and is
 kept bit-for-bit consistent with the vectorized path (tests compare the two).
@@ -331,7 +331,7 @@ class _TopK:
 
     @property
     def threshold(self) -> int | None:
-        """Keys >= this can never enter the heap; None while not yet full."""
+        """Keys >= this can never enter the heap, as it only falls; None while not yet full."""
         if self.cap <= 0:
             return -1
         if len(self.heap) < self.cap:
@@ -455,6 +455,10 @@ class _ShardResult:
 
 def _planned_checks(plan: EnumerationPlan, cfg: _SweepConfig, work_ceiling: int) -> int:
     """The sweep's (A, B, S, kind, gamma) check count, which must be in [1, work_ceiling]."""
+    p = plan.group.least_prime
+    if not cfg.ignore_applicability and p - 1 in cfg.gammas:  # its checks could never fail
+        raise ValueError(f"gamma = {p - 1} is -1 modulo {p}, where no twisted check applies; "
+                         f"only a counterexample search, which drops the hypotheses, takes it")
     checks = plan.count_triples() * sum(len(_kind_gammas(k, cfg)) for k in cfg.kinds)
     if checks == 0:
         # only twisted kinds can contribute no checks: they have no gammas off Z_p,
@@ -541,8 +545,8 @@ def _hits(cmp, lhs, rhs, amasks, n, same):
 def _harvest(collector: _TopK, rows, cols, chunk, smask, kind, gamma, lhs, rhs, n) -> None:
     """Offer the hits (rows[i], cols[i]) = (index into chunk, B mask) as witnesses.
 
-    It only offers: the kernel's counting stage has already added every hit
-    to the collector's total.  The hits must arrive in ascending key order.
+    It only offers: the kernel has already added every hit to the
+    collector's total.  The hits must arrive in ascending key order.
     They do when the chunk's A masks ascend: ``_hits`` lists them row by row,
     B masks ascend within a row, and smask, kind and gamma are fixed per
     call.  A hit the collector keeps is then never evicted by a later one of
@@ -571,16 +575,15 @@ def _vector_shard(
     built a batch of keys per ``_masks.size_table_batch`` call, within
     ``_CHUNK_BYTES``, and each batch's checks run before the next is built.
 
-    Two stages use these tables.  The counting stage builds them once per
-    translation class of the shard's A masks, for its least member
+    Each |A| is one pass over one key map.  It counts with tables built once
+    per translation class of the shard's A masks, for its least member
     (``MaskTables.translation_rep``): (A, B, S) -> (A + x, B + x/gamma, S)
     keeps the lhs, |B| and B = A (the only B = A checks are at gamma = 1), so
-    a check has as many hits over all B for each owned member of a class as
-    for the class's least member, and the hits are counted once per member.
-    Triple keys sort by A mask first, so a collector's ``cap`` least keys
-    come from its first ``cap`` owned A masks, over all sizes, whose class
-    had a hit.  The witness stage builds those masks' tables again, for the
-    keys their class had hits at, and ``_harvest`` offers their hits.
+    each owned member of a class has its least member's hits.  Then it builds
+    tables, at the keys their class hit, for the masks that can still give a
+    collector witness rows: triple keys sort by A mask first, so only its
+    first ``cap`` owned masks of this size whose class had a hit, and only
+    those whose least key is below its ``threshold``; ``_harvest`` offers them.
     """
     g = plan.group
     n = g.order
@@ -596,7 +599,6 @@ def _vector_shard(
         collectors = (res.violations, res.tight)
     else:
         collectors = (res.violations if cfg.collect_violations else res.tight,)
-    cap = cfg.max_witnesses
     chunk_rows = _chunk_rows(n)
 
     @functools.cache
@@ -635,9 +637,6 @@ def _vector_shard(
                 for j, lhs in enumerate(sizes.reshape(len(batch), len(translates), 1 << n), i):
                     yield rows, j, lhs
 
-    # counting stage; firsts[c] holds (A mask, |A|, indices of keys with a hit)
-    # for the first cap owned A masks whose class had a hit in collectors[c]
-    firsts: list[list[tuple]] = [[] for _ in collectors]
     position = 0  # stream position of the first mask of size m
     for m in range(plan.a_min, plan.a_max + 1):
         masks = size_mask_array(t.pops, m, plan.canonicalize)
@@ -671,24 +670,17 @@ def _vector_shard(
                 for c, (collector, count) in enumerate(zip(collectors, counts)):
                     collector.total += int(count @ weight[rows])
                     hit_at[c, j, rows] |= count > 0
-        if cap:
-            keys_hit = hit_at.any(axis=0)
-            for c, first in enumerate(firsts):
-                picks = np.flatnonzero(hit_at[c].any(axis=0)[member_rep])[:cap]
-                first.extend((a, m, np.flatnonzero(keys_hit[:, r]).tolist()) for a, r in
-                             zip(mine[picks].tolist(), member_rep[picks].tolist()))
-                first.sort()
-                del first[cap:]
-
-    # witness stage: rebuild the chosen A masks, an |A| at a time
-    chosen: dict[int, dict[int, list]] = {}  # |A| -> A mask -> key indices
-    for amask, m, key_indices in (pick for first in firsts for pick in first):
-        chosen.setdefault(m, {})[amask] = key_indices
-    for m, picks in sorted(chosen.items()):
-        work = key_map(m)[0]
-        keys = list(work)
-        amasks = np.array(sorted(picks), dtype=np.int64)
-        wanted = [keys[i] for i in sorted(set().union(*picks.values()))]
+        # witness rows: each collector's first cap masks whose class had a hit,
+        # less those whose least possible key is at or above its threshold
+        picks = set()  # positions in mine
+        for c, collector in enumerate(collectors):
+            first = np.flatnonzero(hit_at[c].any(axis=0)[member_rep])[:collector.cap]
+            limit = collector.threshold
+            picks.update(i for i, a in zip(first.tolist(), mine[first].tolist())
+                         if limit is None or _triple_key(n, a, 0, 0, ALL_KINDS[0], None) < limit)
+        picks = sorted(picks)
+        amasks = mine[picks]
+        wanted = [keys[j] for j in np.flatnonzero(hit_at[:, :, member_rep[picks]].any(axis=(0, 2)))]
         for rows, j, lhs in tables(amasks, wanted):
             chunk = amasks[rows].tolist()  # Python ints: triple keys overflow int64 at order 20
             for smask, kind, gamma, same, rhs in work[wanted[j]]:

@@ -71,7 +71,8 @@ def _plan_flags(p: argparse.ArgumentParser) -> None:
                    help="seed of a --sample sweep (default 0)")
     p.add_argument("--gamma", action="append", default=None, metavar="G",
                    help="twist scalar(s) for the twisted bound; repeatable, or 'all' "
-                        "for every gamma but 0 and -1 (the default)")
+                        "for every gamma but 0 and -1 (the default); -1 itself exits 2 "
+                        "outside a counterexample search, as no twisted check applies")
     p.add_argument("--shards", type=int, default=None,
                    help="split the sweep into N shards (default: the thread count)")
     p.add_argument("--threads", type=int, default=None,
@@ -521,7 +522,11 @@ def main(argv=None) -> int:
     except (GroupError, HypothesisViolation, WorkCeilingExceeded, ValueError) as exc:
         print(f"rsumlab: {exc}", file=sys.stderr)
         return 2
-    out.flush()
+    try:
+        out.flush()
+    except OSError as exc:
+        print(f"rsumlab: cannot write the output: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -199,9 +199,23 @@ class TestExhaustiveVerify:
         _assert_paths_agree(monkeypatch, name, cap, smax, kinds)
 
     def test_scalar_and_vector_paths_agree_at_gamma_minus_one(self, monkeypatch):
-        # gamma = 6 is -1 on Z7, and at |S| = 2 the thm2 floor is 23
-        kinds = (K.TWISTED_PAN_SUN, K.THM2, K.PAN_SUN)
-        _assert_paths_agree(monkeypatch, "Z7", 2, 2, kinds, gammas=[2, 6])
+        # gamma = 6 is -1 on Z7: a sweep refuses it, since no twisted check
+        # applies there, but a counterexample search drops the hypotheses
+        g = rl.parse_group("Z7")
+        plan = rl.EnumerationPlan(group=g, a_max=3, s_min=0, s_max=1)
+
+        def search(**kw):
+            return [r.to_row() for r in rl.search_witnesses(
+                plan, K.TWISTED_PAN_SUN, "counterexample", gammas=[2, 6],
+                max_witnesses=10 ** 6, **kw)]
+
+        slow = search(force_scalar=True)
+        assert {row["gamma"] for row in slow} == {6}  # the bound holds at gamma = 2
+        assert search() == slow
+        for rows in (1, 3):
+            with monkeypatch.context() as mp:
+                mp.setattr(bounds, "_CHUNK_BYTES", _chunk_budget(g, rows))
+                assert search() == slow, rows
 
     def test_scalar_and_vector_paths_agree_at_gamma_one(self, monkeypatch):
         # twisted at gamma = 1 reads the general operator's (S, gamma), so
@@ -297,7 +311,10 @@ class TestExhaustiveVerify:
         plan = rl.EnumerationPlan(group=g, s_min=1, s_max=1)
         big = rl.exhaustive_verify(plan, [BoundKind.PAN_SUN], max_witnesses=10 ** 6)
         assert big.tight_count == len(big.tight)
-        for cap in (1, 7):
+        # its rows start with A masks 3, 5, 6 (|A| = 2), then 7 (|A| = 3),
+        # then 9 and 10: at caps 20 and 40 an |A| = 3 mask displaces rows
+        # harvested at |A| = 2
+        for cap in (1, 7, 20, 40):
             want = [r.to_row() for r in big.tight[:cap]]
             for rows in (None, 1, 3):
                 for shards in (1, 3):
@@ -398,6 +415,17 @@ class TestShardAccounting:
             ]
         assert shards[False] == shards[True]
         assert len({shard[0] for shard in shards[False]}) > 1  # the shards differ
+
+    def test_gamma_minus_one_raises(self):
+        # no twisted check applies at gamma = -1, so a sweep of it would be
+        # clean work never done; a counterexample search drops the hypotheses
+        for name, gammas in (("Z7", [2, 6]), ("Z7", [-1]), ("Z2", [1])):
+            plan = rl.EnumerationPlan(group=rl.parse_group(name), s_min=1, s_max=1)
+            with pytest.raises(ValueError, match="is -1 modulo"):
+                rl.exhaustive_verify(plan, [K.TWISTED_PAN_SUN], gammas=gammas)
+            with pytest.raises(ValueError, match="is -1 modulo"):
+                rl.search_witnesses(plan, K.TWISTED_PAN_SUN, "tight", gammas=gammas)
+            rl.search_witnesses(plan, K.TWISTED_PAN_SUN, "counterexample", gammas=gammas)
 
     def test_zero_planned_checks_raise(self):
         # the twisted bound has no gammas off Z_p, so alone it plans no checks
@@ -575,7 +603,7 @@ class TestChunkBoundaries:
         sweep: every |S| class of an |A| shares its S = {} and S = {0} keys,
         and general and twisted keys share each S.  The counting stage builds
         each (translation class, key) table exactly once whatever the
-        batching; the witness stage adds at most cap rows per key.
+        batching; the witness rows stay within cap per key.
         """
         g = rl.parse_group("Z7")
         plan = rl.EnumerationPlan(group=g, a_max=2, b_max=2, s_min=0, s_max=2)
@@ -672,9 +700,36 @@ class TestTranslationClasses:
     """The kernel builds one counting table per translation class of A.
 
     (A, B, S) -> (A + x, B + x/gamma, S) keeps the lhs, so every member of a
-    class has the same hit counts over all B; witnesses are rebuilt for the
-    first cap owned A masks whose class had a hit.
+    class has the same hit counts over all B; witnesses are rebuilt, in the
+    same pass over |A|, for the first cap owned A masks of that size whose
+    class had a hit.
     """
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_one_plan_per_size_class(self, monkeypatch, shards):
+        # each |A| is walked once, counting and harvesting from one key map,
+        # so each shard plans every (|A|, |S|) class exactly once
+        calls = []
+        size_class = bounds._size_class
+
+        def counted(*args):
+            calls.append(args[2:])
+            return size_class(*args)
+
+        monkeypatch.setattr(bounds, "_size_class", counted)
+        g = rl.parse_group("Z7")
+        plan = rl.EnumerationPlan(group=g, a_max=4, s_min=0, s_max=2)
+        cfg = bounds._SweepConfig(
+            kinds=bounds.ALL_KINDS, gammas=(2, 3), collect_violations=True,
+            collect_tight=True, ignore_applicability=False, max_witnesses=5,
+            prune=False, force_scalar=False,
+        )
+        classes = [(m, h) for m in range(1, 5) for h in range(3)]
+        for i in range(shards):
+            calls.clear()
+            res = bounds._vector_shard(plan, cfg, i, shards)
+            assert res.tight.heap  # the shard harvested witness rows
+            assert sorted(calls) == classes
 
     @pytest.mark.parametrize("g", rl.abelian_groups_up_to(10), ids=rl.format_group)
     def test_rep_is_least_translate(self, g):
@@ -816,7 +871,9 @@ class TestCountsMatchCheckTriple:
     that plan with a check-by-check count over every (A, B, S, kind, gamma).
     """
 
-    # gamma 4 is -1 on Z5; on Z2xZ3, |A|, |B| <= 3 keeps the reference to seconds
+    # gamma 4 is -1 on Z5, where no check applies: a sweep refuses it, so the
+    # reference over gammas 2 and 4 must equal the sweep at gamma 2 alone;
+    # on Z2xZ3, |A|, |B| <= 3 keeps the reference to seconds
     @pytest.mark.parametrize("name,cap,gammas", [("Z5", None, [2, 4]), ("Z2xZ3", 3, None)])
     def test_counts_and_counterexamples(self, name, cap, gammas):
         g = rl.parse_group(name)
@@ -832,8 +889,10 @@ class TestCountsMatchCheckTriple:
                     violations += not rep.satisfied
                     if rep.lhs < rep.rhs:
                         below[kind].add(tuple(rep.to_row().values()))
+        applicable = gammas and [gamma for gamma in gammas if gamma != g.order - 1]
         for force_scalar in (False, True):
-            summary = rl.exhaustive_verify(plan, kinds, gammas=gammas, force_scalar=force_scalar)
+            summary = rl.exhaustive_verify(plan, kinds, gammas=applicable,
+                                           force_scalar=force_scalar)
             assert summary.triples_checked == plan.count_triples()
             assert (summary.tight_count, summary.violation_count) == (tight, violations)
         assert tight > 0

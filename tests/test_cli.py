@@ -65,6 +65,16 @@ class TestSumsetCommand:
         assert code == 2
         assert "rsumlab:" in err
 
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x"
+        code, out, err = run_cli(
+            capsys, "sumset", "--group", "Z5", "--A", "{1}", "--B", "{2}", "--out", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("rsumlab: cannot write the output:")
+        assert "Traceback" not in err
+        assert not path.exists()
+
 
 class TestVerifyCommand:
     def test_thm1_json_no_violations(self, capsys):
@@ -296,6 +306,31 @@ class TestNonsenseCounts:
         assert (code, out) == (2, "")
         assert "no checks planned" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--group", "Z7", "--gamma", "6", "--max-a", "2", "--max-b", "2"),
+        ("search", "--group", "Z7", "--gamma", "2", "--gamma", "-1", "--mode", "tight",
+         "--max-a", "2", "--max-b", "2"),
+        ("verify", "--group", "Z2", "--gamma", "1"),
+    ])
+    def test_gamma_minus_one_exit_2(self, capsys, argv):
+        # no twisted check applies at gamma = -1: the sweep would report clean
+        # checks that can never fail
+        code, out, err = run_cli(capsys, *argv, "--bound", "twisted", "--no-timing")
+        assert (code, out) == (2, "")
+        assert "is -1 modulo" in err
+
+    def test_gamma_minus_one_counterexample_search(self, capsys):
+        # a counterexample search drops the hypotheses, so gamma = -1 stays open
+        code, out, _ = run_cli(
+            capsys, "search", "--group", "Z7", "--bound", "twisted", "--gamma", "6",
+            "--mode", "counterexample", "--max-a", "3", "--max-s", "1", "--max-witnesses", "2",
+            "--format", "csv",
+        )
+        assert code == 1
+        assert out == ('group,kind,A,B,S,gamma,lhs,rhs,tight\n'
+                       'Z7,twisted,"{0,1,2}","{0,1,2,3,4,5,6}","{0}",6,6,7,false\n'
+                       'Z7,twisted,"{0,1,2}","{0,1,2,3,4,5,6}","{1}",6,6,7,false\n')
+
     def test_bound_all_on_z2_leaves_out_twisted(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--group", "Z2", "--bound", "all",
                                "--no-timing", "--format", "json")
@@ -378,7 +413,9 @@ class TestGoldenVerifyJson:
 
 
 # sha256 of sampled `verify`/`search` runs with `--no-timing --format json`,
-# which take the scalar per-triple path for every kind
+# which take the scalar per-triple path for every kind, and of full-size
+# exhaustive runs with a small witness cap, where later |A| sizes compete
+# for the capped rows
 GOLDEN_SAMPLED_JSON = {
     "verify --group Z13 --bound all --gamma all --sample 500 --seed 3 --min-s 1 --max-s 3":
         "d6646751c0af201eb3dcc8f42500cb9eaa09479c38b0eb19a43cb81abc8f1ff1",
@@ -387,12 +424,17 @@ GOLDEN_SAMPLED_JSON = {
     "search --group Z13 --bound thm2 --mode counterexample --sample 500 --seed 3 "
     "--min-s 1 --max-s 2":
         "97d5e3d2224eae62e6c6c3e3fdbeb66efdf7f9b5c649b5d00abaa15c48072490",
-    "search --group Z7 --bound twisted --gamma 1 --gamma 6 --sample 300 --seed 3 "
+    "search --group Z7 --bound twisted --gamma 1 --sample 300 --seed 3 "
     "--min-s 1 --max-s 2":
         "a2039370e2d5a488976eb1844c15d523215d9da95ca0da4cd80f707838f338a1",
     # A and S drawn among the sets containing 0, and checked as drawn
     "verify --group Z13 --bound all --sample 500 --seed 3 --canonicalize --canonicalize-s":
         "8ea430f90bb23387c186698bcda7fdc4f03260015745df3cffbe0cab0ebbe493",
+    "verify --group Z7 --bound all --gamma 2 --gamma 3 --min-s 0 --max-s 2 "
+    "--max-witnesses 5":
+        "218492a6709b03d0455ce6b84e3b5968c3ea9e09d2a95174c74cfc19c2e4e60d",
+    "verify --group Z2xZ4 --bound thm1 --bound bw --min-s 0 --max-s 2 --max-witnesses 3":
+        "243c60aa1143014572b0b28b8e5eb467afdd224294d8fcd54439b560e2a5b075",
 }
 
 
