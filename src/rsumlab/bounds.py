@@ -456,7 +456,7 @@ class _ShardResult:
 def _planned_checks(plan: EnumerationPlan, cfg: _SweepConfig, work_ceiling: int) -> int:
     """The sweep's (A, B, S, kind, gamma) check count, which must be in [1, work_ceiling]."""
     p = plan.group.least_prime
-    if not cfg.ignore_applicability and p - 1 in cfg.gammas:  # its checks could never fail
+    if not cfg.ignore_applicability and p - 1 in cfg.gammas:
         raise ValueError(f"gamma = {p - 1} is -1 modulo {p}, where no twisted check applies; "
                          f"only a counterexample search, which drops the hypotheses, takes it")
     checks = plan.count_triples() * sum(len(_kind_gammas(k, cfg)) for k in cfg.kinds)
@@ -581,9 +581,10 @@ def _vector_shard(
     keeps the lhs, |B| and B = A (the only B = A checks are at gamma = 1), so
     each owned member of a class has its least member's hits.  Then it builds
     tables, at the keys their class hit, for the masks that can still give a
-    collector witness rows: triple keys sort by A mask first, so only its
-    first ``cap`` owned masks of this size whose class had a hit, and only
-    those whose least key is below its ``threshold``; ``_harvest`` offers them.
+    collector witness rows.  Triple keys sort by A mask first, so these are
+    its first ``cap`` owned masks of this size whose class had a hit, less
+    those whose least key is at or above its ``threshold``; ``_harvest``
+    offers their hits.
     """
     g = plan.group
     n = g.order

@@ -601,9 +601,9 @@ class TestChunkBoundaries:
 
         ``--bound all`` on Z7 with two gammas mixes all four operators in one
         sweep: every |S| class of an |A| shares its S = {} and S = {0} keys,
-        and general and twisted keys share each S.  The counting stage builds
-        each (translation class, key) table exactly once whatever the
-        batching; the witness rows stay within cap per key.
+        and general and twisted keys share each S.  The counting tables are
+        built once per (translation class, key) whatever the batching; the
+        witness rows stay within cap per key.
         """
         g = rl.parse_group("Z7")
         plan = rl.EnumerationPlan(group=g, a_max=2, b_max=2, s_min=0, s_max=2)
