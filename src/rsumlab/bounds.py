@@ -5,12 +5,14 @@ of the four operators, so the catalog is one table of coefficients and
 hypotheses per kind.  Since hypotheses and rhs depend only on the sizes, one
 check plan per (|A|, |S|) class (``_size_class``) says which (kind, gamma)
 checks run and whether B must equal A, and ``_check_rhs`` gives their rhs
-at each |B|; both sweep paths read them.  Exhaustive sweeps go class first: for each |A| with checks
-left they gather the checks of all its |S| classes under the (S, gamma)
-their operator reads, group its A masks, one slice of the popcount table,
-by translation class, and evaluate all B at once through the mask tables
-in ``_masks``, once per class: a translate of A has the same hit counts.
-The same pass over each |A| harvests witness rows from its first A masks with hits.
+at each |B|; both sweep paths read them.  Exhaustive sweeps go class
+first: for each |A| with checks left they gather the checks of all its |S|
+classes under the (S, gamma) their operator reads, one S per translation
+class of S (plain and restricted fix theirs), group its A masks, one slice
+of the popcount table, by translation class, and evaluate all B at once
+through the mask tables in ``_masks``, once per pair of classes: a
+translate of A or of S has the same hit counts.  The same pass over each
+|A| harvests witness rows, real triples, from its first A masks with hits.
 A scalar fallback walks the triple stream one triple at a time,
 evaluating each operator once per triple by the engine's pair loop, and is
 kept bit-for-bit consistent with the vectorized path (tests compare the two).
@@ -165,6 +167,9 @@ _KIND_INFO = {
 
 ALL_KINDS = tuple(BoundKind)
 _KIND_POSITION = {kind: i for i, kind in enumerate(ALL_KINDS)}
+# The kernel counts a kind that reads S once per translation class of S, a
+# count that moves B to B + y; a B = A check cannot follow it, so it fixes S.
+assert not any(kind.reads_s and kind.info.equal_sets for kind in ALL_KINDS)
 
 
 def kind_from_name(name: str) -> BoundKind:
@@ -453,8 +458,18 @@ class _ShardResult:
         self.triples += k if evaluated else 0
 
 
-def _planned_checks(plan: EnumerationPlan, cfg: _SweepConfig, work_ceiling: int) -> int:
-    """The sweep's (A, B, S, kind, gamma) check count, which must be in [1, work_ceiling]."""
+def _planned_checks(
+    plan: EnumerationPlan, cfg: _SweepConfig, work_ceiling: int, shard_count: int, threads: int
+) -> int:
+    """The sweep's (A, B, S, kind, gamma) check count, which must be in [1, work_ceiling].
+
+    It also refuses shard and thread counts below 1 and a negative witness cap,
+    so a sweep it accepts runs.
+    """
+    if shard_count < 1 or threads < 1:
+        raise ValueError(f"shard_count and threads must be >= 1, got {shard_count} and {threads}")
+    if cfg.max_witnesses < 0:
+        raise ValueError(f"max_witnesses must be >= 0, got {cfg.max_witnesses}")
     p = plan.group.least_prime
     if not cfg.ignore_applicability and p - 1 in cfg.gammas:
         raise ValueError(f"gamma = {p - 1} is -1 modulo {p}, where no twisted check applies; "
@@ -563,7 +578,7 @@ def _harvest(collector: _TopK, rows, cols, chunk, smask, kind, gamma, lhs, rhs, 
 def _vector_shard(
     plan: EnumerationPlan, cfg: _SweepConfig, shard_index: int, shard_count: int
 ) -> _ShardResult:
-    """Evaluate every B at once, one size table per translation class of A.
+    """Evaluate every B at once, one size table per translation class of A and of S.
 
     For each |A| the shard's masks are one slice of the popcount table.  Each
     (|A|, |S|) class is planned and counted once, its rhs read out over B by
@@ -579,12 +594,21 @@ def _vector_shard(
     per translation class of the shard's A masks, for its least member
     (``MaskTables.translation_rep``): (A, B, S) -> (A + x, B + x/gamma, S)
     keeps the lhs, |B| and B = A (the only B = A checks are at gamma = 1), so
-    each owned member of a class has its least member's hits.  Then it builds
-    tables, at the keys their class hit, for the masks that can still give a
-    collector witness rows.  Triple keys sort by A mask first, so these are
-    its first ``cap`` owned masks of this size whose class had a hit, less
-    those whose least key is at or above its ``threshold``; ``_harvest``
-    offers their hits.
+    each owned member of a class has its least member's hits.  Likewise
+    (A, B, S) -> (A, B - y/gamma, S + y) keeps |B| and moves the sum by
+    -y/gamma, every gamma a sweep takes being a unit, so a check whose
+    operator reads S is keyed at the least translate of S, and one entry
+    stands for the plan's masks of that class.  An operator that fixes S
+    has one entry per |S| class for all its masks.  An entry's hits count
+    once per owned A member and per S mask it stands for.
+
+    Then it builds tables for the A masks that can still give a collector
+    witness rows, at the real (S, gamma) keys of the S masks that the
+    entries their class hit stand for.  Triple keys sort by A mask first,
+    so these are its first ``cap`` owned masks of this size whose class had
+    a hit, less those whose least key is at or above its ``threshold``;
+    ``_harvest`` offers their hits, computed once per entry and offered
+    under each of its S masks when the operator fixes S.
     """
     g = plan.group
     n = g.order
@@ -593,6 +617,11 @@ def _vector_shard(
     res = _ShardResult(_TopK(cfg.max_witnesses), _TopK(cfg.max_witnesses))
     s_by_size = {h: size_mask_array(t.pops, h, plan.canonicalize_s).tolist()
                  for h in range(plan.s_min, plan.s_max + 1)}
+    # each size's S masks by translation class: least translate -> members, ascending
+    s_classes = {h: {} for h in s_by_size}
+    for h, s_list in s_by_size.items():
+        for smask, rep in zip(s_list, t.translation_rep[s_list].tolist()):
+            s_classes[h].setdefault(rep, []).append(smask)
     # one comparison per table: lhs <= rhs when both collectors are on, split by lhs < rhs
     both = cfg.collect_violations and cfg.collect_tight
     cmp = np.less_equal if both else np.less if cfg.collect_violations else np.equal
@@ -608,8 +637,16 @@ def _vector_shard(
         return (~t.exclusions(smask, gamma)).astype(_masks.MASK_DTYPE)
 
     def key_map(m):
-        """|A| = m's key map, (S, gamma) -> checks, and its (|S| masks, evaluated, pruned)."""
-        work: dict[tuple[int, int], list] = {}
+        """|A| = m's key map, (S, gamma) -> positions in its check entries, and
+        its (|S| masks, evaluated, pruned).
+
+        An entry lists the S masks it stands for: one translation class of
+        the size's masks, keyed at its least translate, when the operator
+        reads the sweep's S, and all of them at the fixed key when the
+        operator fixes S.
+        """
+        work: dict[tuple[int, int], list[int]] = {}
+        entries = []  # (S masks, kind, gamma, same, rhs)
         classes = []
         for h, s_list in s_by_size.items():
             checks, evaluated, pruned = _size_class(plan, cfg, m, h)
@@ -619,10 +656,12 @@ def _vector_shard(
                 if max(rhs) < 0:
                     continue  # no |B| of the plan to check
                 rhs = np.array(rhs, dtype=np.int8)[t.pops]
-                for smask in s_list:
-                    key = _operator_s_gamma(kind, smask, gamma)
-                    work.setdefault(key, []).append((smask, kind, gamma, same, rhs))
-        return work, classes
+                groups = s_classes[h].items() if kind.reads_s else [(0, s_list)]
+                for rep, members in groups:
+                    key = _operator_s_gamma(kind, rep, gamma)
+                    work.setdefault(key, []).append(len(entries))
+                    entries.append((members, kind, gamma, same, rhs))
+        return work, entries, classes
 
     def tables(amasks, keys):
         """(rows, j, lhs) per chunk of ``amasks`` and ``keys[j]``; rows slices amasks."""
@@ -643,7 +682,7 @@ def _vector_shard(
         masks = size_mask_array(t.pops, m, plan.canonicalize)
         mine = masks[(shard_index - position) % shard_count::shard_count]
         position += masks.size
-        work, classes = key_map(m)
+        work, entries, classes = key_map(m)
         for s_count, evaluated, pruned in classes:
             res.count(mine.size * s_count * b_count, evaluated, pruned)
         if not work:
@@ -651,11 +690,12 @@ def _vector_shard(
         keys = list(work)
         reps, member_rep, weight = np.unique(
             t.translation_rep[mine], return_inverse=True, return_counts=True)
-        # hit_at[c, j, r]: class r had a hit for collectors[c] at keys[j]
-        hit_at = np.zeros((len(collectors), len(keys), reps.size), dtype=bool)
+        # hit_at[c, e, r]: class r had a hit for collectors[c] in entries[e]
+        hit_at = np.zeros((len(collectors), len(entries), reps.size), dtype=bool)
         for rows, j, lhs in tables(reps, keys):
             ar = reps[rows]
-            for smask, kind, gamma, same, rhs in work[keys[j]]:
+            for e in work[keys[j]]:
+                members, kind, gamma, same, rhs = entries[e]
                 if same:  # only B = A: one entry per row
                     lhs_h, rhs_h = lhs[np.arange(ar.size), ar][:, None], rhs[ar][:, None]
                 else:
@@ -669,8 +709,8 @@ def _vector_shard(
                     below = np.count_nonzero(lhs_h < rhs_h, axis=1)
                     counts = (below, per_row - below)
                 for c, (collector, count) in enumerate(zip(collectors, counts)):
-                    collector.total += int(count @ weight[rows])
-                    hit_at[c, j, rows] |= count > 0
+                    collector.total += len(members) * int(count @ weight[rows])
+                    hit_at[c, e, rows] |= count > 0
         # witness rows: each collector's first cap masks whose class had a hit,
         # less those whose least possible key is at or above its threshold
         picks = set()  # positions in mine
@@ -681,18 +721,29 @@ def _vector_shard(
                          if limit is None or _triple_key(n, a, 0, 0, ALL_KINDS[0], None) < limit)
         picks = sorted(picks)
         amasks = mine[picks]
-        wanted = [keys[j] for j in np.flatnonzero(hit_at[:, :, member_rep[picks]].any(axis=(0, 2)))]
+        # the real (S, gamma) keys of the S masks behind each entry their classes hit
+        real: dict[tuple[int, int], list] = {}
+        for e in np.flatnonzero(hit_at[:, :, member_rep[picks]].any(axis=(0, 2))):
+            members, kind, gamma, same, rhs = entries[e]
+            for smasks in ([s] for s in members) if kind.reads_s else [members]:
+                key = _operator_s_gamma(kind, smasks[0], gamma)
+                real.setdefault(key, []).append((smasks, kind, gamma, same, rhs))
+        wanted = list(real)
         for rows, j, lhs in tables(amasks, wanted):
             chunk = amasks[rows].tolist()  # Python ints: triple keys overflow int64 at order 20
-            for smask, kind, gamma, same, rhs in work[wanted[j]]:
+            for smasks, kind, gamma, same, rhs in real[wanted[j]]:
                 rows_hit, cols = _hits(cmp, lhs, rhs, amasks[rows], n, same)
-                hit = (chunk, smask, kind, gamma, lhs, rhs, n)
-                if not both:
-                    _harvest(collectors[0], rows_hit, cols, *hit)
-                elif rows_hit.size:  # split the lhs <= rhs hits
+                if not rows_hit.size:
+                    continue
+                if both:  # split the lhs <= rhs hits
                     below = lhs[rows_hit, cols] < rhs[cols]
-                    _harvest(res.violations, rows_hit[below], cols[below], *hit)
-                    _harvest(res.tight, rows_hit[~below], cols[~below], *hit)
+                    parts = ((res.violations, rows_hit[below], cols[below]),
+                             (res.tight, rows_hit[~below], cols[~below]))
+                else:
+                    parts = ((collectors[0], rows_hit, cols),)
+                for smask in smasks:  # an operator that fixes S gives each member these hits
+                    for collector, r, b in parts:
+                        _harvest(collector, r, b, chunk, smask, kind, gamma, lhs, rhs, n)
     return res
 
 
@@ -810,10 +861,6 @@ def _run_sweep(
     planned: int,
 ) -> tuple[_TopK, _TopK, int]:
     """Run and merge every shard: (violations, tight, triples with an evaluated check)."""
-    if shard_count < 1 or threads < 1:
-        raise ValueError(f"shard_count and threads must be >= 1, got {shard_count} and {threads}")
-    if cfg.max_witnesses < 0:
-        raise ValueError(f"max_witnesses must be >= 0, got {cfg.max_witnesses}")
     jobs = [(plan, cfg, i, shard_count) for i in range(shard_count)]
     if threads > 1 and shard_count > 1:
         with ProcessPoolExecutor(max_workers=min(threads, shard_count)) as pool:
@@ -847,6 +894,7 @@ def exhaustive_verify(
     shard_count: int = 1,
     threads: int = 1,
     force_scalar: bool = False,
+    on_planned: Callable[[int], object] | None = None,
 ) -> VerificationSummary:
     """Check every enumerated triple against every applicable kind.
 
@@ -854,7 +902,9 @@ def exhaustive_verify(
     ``prune`` skips (|A|, |S|) classes whose trivial floor max(|A|,|B|) - |S|
     already meets the largest possible rhs; it preserves the violation report
     exactly, suppresses tight collection, and leaves out of ``triples_checked``
-    the triples of classes it skips for every kind.
+    the triples of classes it skips for every kind.  ``on_planned``, when
+    given, is called with the planned check count once ``_planned_checks``
+    has accepted the sweep, before any shard runs.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -867,7 +917,9 @@ def exhaustive_verify(
         ignore_applicability=False, max_witnesses=max_witnesses, prune=prune,
         force_scalar=force_scalar,
     )
-    checks = _planned_checks(plan, cfg, work_ceiling)
+    checks = _planned_checks(plan, cfg, work_ceiling, shard_count, threads)
+    if on_planned is not None:
+        on_planned(checks)
     start = time.perf_counter()
     violations, tight, triples = _run_sweep(plan, cfg, shard_count, threads, checks)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
@@ -899,12 +951,14 @@ def search_witnesses(
     shard_count: int = 1,
     threads: int = 1,
     force_scalar: bool = False,
+    on_planned: Callable[[int], object] | None = None,
 ) -> list[BoundReport]:
     """Tight mode: triples with lhs = rhs under full applicability.
 
     Counterexample mode: triples violating the bare formula with every
     hypothesis deliberately dropped (reports are flagged); an empty result
-    is a perfectly good outcome, never an error.
+    is a perfectly good outcome, never an error.  ``on_planned`` is called as
+    in ``exhaustive_verify``.
     """
     if mode not in ("tight", "counterexample"):
         raise ValueError(f"unknown search mode {mode!r}")
@@ -916,7 +970,9 @@ def search_witnesses(
         ignore_applicability=counterexample, max_witnesses=max_witnesses, prune=False,
         force_scalar=force_scalar,
     )
-    checks = _planned_checks(plan, cfg, work_ceiling)
+    checks = _planned_checks(plan, cfg, work_ceiling, shard_count, threads)
+    if on_planned is not None:
+        on_planned(checks)
     violations, tight, _ = _run_sweep(plan, cfg, shard_count, threads, checks)
     bucket = violations if counterexample else tight
     return [_payload_report(plan, p, counterexample) for p in bucket.sorted_payloads()]

@@ -332,6 +332,11 @@ def _cmd_sumset(args, out: _Output) -> int:
     return 0
 
 
+def _announce(plan):
+    """Print the plan's triple count once the sweep has accepted the plan."""
+    return lambda checks: print(f"estimated triples: {plan.count_triples()}", file=sys.stderr)
+
+
 def _cmd_verify(args, out: _Output) -> int:
     group = parse_group(args.group)
     kinds = _parse_kinds(args.bound, group)
@@ -339,7 +344,6 @@ def _cmd_verify(args, out: _Output) -> int:
     plan = _build_plan(args, group, kinds)
     gammas = _parse_gammas(args.gamma, group)
     threads = _threads(args)
-    print(f"estimated triples: {plan.count_triples()}", file=sys.stderr)
     summary = exhaustive_verify(
         plan,
         kinds,
@@ -350,6 +354,7 @@ def _cmd_verify(args, out: _Output) -> int:
         prune=args.prune,
         shard_count=threads if args.shards is None else args.shards,
         threads=threads,
+        on_planned=_announce(plan),
     )
     _emit_summary(summary, args, out)
     return 0 if summary.ok else 1
@@ -362,7 +367,6 @@ def _cmd_search(args, out: _Output) -> int:
     plan = _build_plan(args, group, [kind])
     gammas = _parse_gammas(args.gamma, group)
     threads = _threads(args)
-    print(f"estimated triples: {plan.count_triples()}", file=sys.stderr)
     reports = search_witnesses(
         plan,
         kind,
@@ -372,6 +376,7 @@ def _cmd_search(args, out: _Output) -> int:
         work_ceiling=args.work_ceiling,
         shard_count=threads if args.shards is None else args.shards,
         threads=threads,
+        on_planned=_announce(plan),
     )
     rows = [r.to_row() for r in reports]
     if args.format == "json":

@@ -597,13 +597,14 @@ class TestChunkBoundaries:
         assert summary.to_json(include_timing=False) == slow.to_json(include_timing=False)
 
     def test_key_batches(self, monkeypatch):
-        """An |A|'s (S, gamma) keys built in one batch, in several, and one per batch.
+        """An |A|'s count keys built in one batch, in several, and one per batch.
 
         ``--bound all`` on Z7 with two gammas mixes all four operators in one
         sweep: every |S| class of an |A| shares its S = {} and S = {0} keys,
-        and general and twisted keys share each S.  The counting tables are
-        built once per (translation class, key) whatever the batching; the
-        witness rows stay within cap per key.
+        and general and twisted checks read one key per translation class of
+        S and gamma.  The counting tables are built once per (translation
+        class of A, count key) whatever the batching; the witness rows stay
+        within cap per (S, gamma) key.
         """
         g = rl.parse_group("Z7")
         plan = rl.EnumerationPlan(group=g, a_max=2, b_max=2, s_min=0, s_max=2)
@@ -614,8 +615,8 @@ class TestChunkBoundaries:
 
         build = _masks.size_table_batch
         # whole classes in one chunk each: every key of a class in one batch,
-        # then 4 keys of a 21-row chunk per batch; last, one row and one key
-        budgets = (1 << 30, _chunk_budget(g, 4 * 21), _chunk_budget(g, 1))
+        # then 4 keys of a 3-row chunk per batch; last, one row and one key
+        budgets = (1 << 30, _chunk_budget(g, 4 * 3), _chunk_budget(g, 1))
         caps = (0, 5)
         rows_per_call = {}
         for cap in caps:
@@ -632,12 +633,13 @@ class TestChunkBoundaries:
                 rows_per_call[cap, budget] = rows
         one, several, single = (rows_per_call[0, budget] for budget in budgets)
         assert len(one) < len(several) < len(single)
-        assert max(one) > 4 * 21 and max(several) == 4 * 21 and set(single) == {1}
-        # one counting row per translation class with an owned member and
-        # operator (S, gamma) key that some check reads
+        assert max(one) > 4 * 3 and max(several) == 4 * 3 and set(single) == {1}
+        # one counting row per translation class of A with an owned member and
+        # count key that some check reads: the operator's (S, gamma) at the
+        # least translate of S
         p = g.least_prime
         rep = _masks.tables_for(g).translation_rep
-        pairs = set()
+        pairs, keys = set(), set()
         for amask in range(1 << g.order):
             m = amask.bit_count()
             for smask in range(1 << g.order):
@@ -649,9 +651,10 @@ class TestChunkBoundaries:
                         if any(not bounds._failed_hypothesis(kind, g, m, k, h, gamma)
                                and bounds.bound_value(kind, m, k, h, p) >= 0
                                for k in range(plan.b_min, plan.b_max + 1)):
-                            pairs.add((int(rep[amask]), bounds._operator_s_gamma(kind, smask, gamma)))
+                            pairs.add((int(rep[amask]),
+                                       bounds._operator_s_gamma(kind, int(rep[smask]), gamma)))
+                            keys.add(bounds._operator_s_gamma(kind, smask, gamma))
         assert sum(one) == sum(several) == sum(single) == len(pairs)
-        keys = {key for _, key in pairs}
         for budget in budgets:
             witness_rows = sum(rows_per_call[caps[1], budget]) - len(pairs)
             assert 0 < witness_rows <= caps[1] * len(keys), budget
@@ -772,6 +775,88 @@ class TestTranslationClasses:
                                       (fast.tight, want.tight)):
                         assert got.total == full.total, (count, cap)
                         assert got.sorted_payloads() == full.sorted_payloads()[:cap], (count, cap)
+
+
+class TestTranslationClassesOfS:
+    """The kernel counts once per translation class of S as well.
+
+    a - gamma*(b + y) not in S  iff  a - gamma*b not in S + gamma*y, and the
+    sum moves by y, so for gamma a unit B -> B + y gives every translate of S
+    the same hit counts; plain and restricted fix S, so the S masks of a size
+    share one count.  Witness rows stay real triples.
+    """
+
+    CASES = {
+        "Z7-twisted": ("Z7", (K.TWISTED_PAN_SUN,), (2, 3, 4, 5), "verify", 2, 2),
+        "Z7-twisted-minus-one": ("Z7", (K.TWISTED_PAN_SUN,), (6,), "counterexample", 2, 2),
+        "Z11-twisted": ("Z11", (K.TWISTED_PAN_SUN,), None, "verify", 2, 1),
+        "Z2xZ4-all": ("Z2xZ4", bounds.ALL_KINDS, None, "verify", 2, 2),
+        "Z3xZ3-all": ("Z3xZ3", bounds.ALL_KINDS, None, "verify", 2, 2),
+    }
+
+    @pytest.mark.parametrize("canonicalize,canonicalize_s",
+                             [(False, False), (True, False), (False, True), (True, True)])
+    @pytest.mark.parametrize("case", CASES)
+    def test_vector_matches_scalar(self, monkeypatch, case, canonicalize, canonicalize_s):
+        name, kinds, gammas, mode, a_max, b_max = self.CASES[case]
+        # every rhs raised by 2, so both collectors get hits and a cap of 7 bites
+        for kind in kinds:
+            info = bounds._KIND_INFO[kind]
+            monkeypatch.setitem(bounds._KIND_INFO, kind, dataclasses.replace(info, c0=info.c0 + 2))
+        plan = rl.EnumerationPlan(group=rl.parse_group(name), a_max=a_max, b_max=b_max,
+                                  s_min=0, s_max=2, canonicalize=canonicalize,
+                                  canonicalize_s=canonicalize_s)
+
+        def run(**kw):
+            if mode == "verify":
+                summary = rl.exhaustive_verify(plan, kinds, gammas=gammas, max_witnesses=7, **kw)
+                assert summary.violation_count > 7 and summary.tight_count > 7
+                return summary.to_json(include_timing=False)
+            rows = [r.to_row() for r in rl.search_witnesses(
+                plan, kinds[0], mode, gammas=gammas, max_witnesses=7, **kw)]
+            assert len(rows) == 7
+            return json.dumps(rows, sort_keys=True, indent=2)
+
+        slow = run(force_scalar=True)
+        for shards in (1, 3):
+            assert run(shard_count=shards) == slow, shards
+
+    @pytest.mark.parametrize("canonicalize_s", [False, True])
+    @pytest.mark.parametrize("name,gammas", [("Z7", (2, 3)), ("Z2xZ4", None)])
+    def test_counting_rows(self, monkeypatch, name, gammas, canonicalize_s):
+        # with no witness rows to harvest, each |A| builds one row per
+        # translation class of A and count key some check reads: the
+        # operator's (S, gamma) at the least translate of S
+        g = rl.parse_group(name)
+        plan = rl.EnumerationPlan(group=g, a_max=3, b_max=3, s_min=0, s_max=2,
+                                  canonicalize_s=canonicalize_s)
+        kinds = bounds.ALL_KINDS
+        twisted = gammas if g.is_prime_cyclic else ()
+        p = g.least_prime
+
+        def least(mask):
+            return min(rl.ElementSet(g, mask).translate(x).bits for x in g.elements())
+
+        want = 0
+        for m in range(plan.a_min, plan.a_max + 1):
+            a_classes = {least(a) for a in range(1 << g.order) if a.bit_count() == m}
+            keys = set()
+            for smask in plan_s_masks(plan):
+                h = smask.bit_count()
+                for kind in kinds:
+                    for gamma in twisted if kind.operator is bounds.Operator.TWISTED else [None]:
+                        if any(not bounds._failed_hypothesis(kind, g, m, k, h, gamma)
+                               and bounds.bound_value(kind, m, k, h, p) >= 0
+                               for k in range(plan.b_min, plan.b_max + 1)):
+                            keys.add(bounds._operator_s_gamma(kind, least(smask), gamma))
+            want += len(a_classes) * len(keys)
+        rows = []
+        build = _masks.size_table_batch
+        monkeypatch.setattr(_masks, "size_table_batch",
+                            lambda cmasks, n: rows.append(len(cmasks)) or build(cmasks, n))
+        summary = rl.exhaustive_verify(plan, kinds, gammas=gammas, max_witnesses=0)
+        assert summary.tight_count > 0
+        assert sum(rows) == want
 
 
 class TestTwistedCanonicalization:

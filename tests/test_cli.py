@@ -331,6 +331,19 @@ class TestNonsenseCounts:
                        'Z7,twisted,"{0,1,2}","{0,1,2,3,4,5,6}","{0}",6,6,7,false\n'
                        'Z7,twisted,"{0,1,2}","{0,1,2,3,4,5,6}","{1}",6,6,7,false\n')
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--group", "Z7", "--bound", "twisted", "--gamma", "6",
+         "--max-a", "2", "--max-b", "2"),
+        ("search", "--group", "Z6", "--bound", "twisted", "--gamma", "2", "--mode", "tight"),
+        ("verify", "--group", "Z16", "--bound", "ppow", "--max-s", "3"),
+        ("search", "--group", "Z5", "--bound", "anr", "--mode", "tight", "--shards", "0"),
+    ])
+    def test_refused_sweep_prints_no_estimate(self, capsys, argv):
+        # the estimate announces a sweep that runs, so a refused one prints none
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "estimated triples" not in err
+
     def test_bound_all_on_z2_leaves_out_twisted(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--group", "Z2", "--bound", "all",
                                "--no-timing", "--format", "json")
