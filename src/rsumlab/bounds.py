@@ -595,12 +595,12 @@ def _vector_shard(
     (``MaskTables.translation_rep``): (A, B, S) -> (A + x, B + x/gamma, S)
     keeps the lhs, |B| and B = A (the only B = A checks are at gamma = 1), so
     each owned member of a class has its least member's hits.  Likewise
-    (A, B, S) -> (A, B - y/gamma, S + y) keeps |B| and moves the sum by
-    -y/gamma, every gamma a sweep takes being a unit, so a check whose
-    operator reads S is keyed at the least translate of S, and one entry
-    stands for the plan's masks of that class.  An operator that fixes S
-    has one entry per |S| class for all its masks.  An entry's hits count
-    once per owned A member and per S mask it stands for.
+    (A, B, S) -> (A, B - y/gamma, S + y) keeps the lhs, as the sum only
+    moves by -y/gamma, and |B|; every gamma a sweep takes is a unit, so a
+    check whose operator reads S is keyed at the least translate of S, and
+    one entry stands for the plan's masks of that class.  An operator that
+    fixes S has one entry per |S| class for all its masks.  An entry's hits
+    count once per owned A member and per S mask it stands for.
 
     Then it builds tables for the A masks that can still give a collector
     witness rows, at the real (S, gamma) keys of the S masks that the
