@@ -17,8 +17,8 @@ A scalar fallback walks the triple stream one triple at a time,
 evaluating each operator once per triple by the engine's pair loop, and is
 kept bit-for-bit consistent with the vectorized path (tests compare the two).
 
-Sweeps shard over the position of A in the enumeration stream, which both
-paths order by size and then by mask value.  Merging is order-independent:
+The kernel deals whole |A| sizes to shards and the scalar path deals A
+masks by stream position.  Merging is order-independent:
 counters add up and witness lists are re-sorted by a canonical triple key,
 so any shard count yields an identical summary.  Each shard counts the
 checks it evaluated and pruned, and the merge requires them to add up to
@@ -580,7 +580,8 @@ def _vector_shard(
 ) -> _ShardResult:
     """Evaluate every B at once, one size table per translation class of A and of S.
 
-    For each |A| the shard's masks are one slice of the popcount table.  Each
+    Shard i of N walks every N-th |A| of the plan from a_min + i, and takes
+    all A masks of each size, one slice of the popcount table.  Each
     (|A|, |S|) class is planned and counted once, its rhs read out over B by
     the B popcounts, and its checks are gathered under the (S, gamma) that
     their operator reads, in one key map for all classes of that |A|.  Only
@@ -591,21 +592,21 @@ def _vector_shard(
     ``_CHUNK_BYTES``, and each batch's checks run before the next is built.
 
     Each |A| is one pass over one key map.  It counts with tables built once
-    per translation class of the shard's A masks, for its least member
+    per translation class of the size's A masks, for its least member
     (``MaskTables.translation_rep``): (A, B, S) -> (A + x, B + x/gamma, S)
     keeps the lhs, |B| and B = A (the only B = A checks are at gamma = 1), so
-    each owned member of a class has its least member's hits.  Likewise
+    each member of a class has its least member's hits.  Likewise
     (A, B, S) -> (A, B - y/gamma, S + y) keeps the lhs, as the sum only
     moves by -y/gamma, and |B|; every gamma a sweep takes is a unit, so a
     check whose operator reads S is keyed at the least translate of S, and
     one entry stands for the plan's masks of that class.  An operator that
     fixes S has one entry per |S| class for all its masks.  An entry's hits
-    count once per owned A member and per S mask it stands for.
+    count once per member of the A class and per S mask it stands for.
 
     Then it builds tables for the A masks that can still give a collector
     witness rows, at the real (S, gamma) keys of the S masks that the
     entries their class hit stand for.  Triple keys sort by A mask first,
-    so these are its first ``cap`` owned masks of this size whose class had
+    so these are its first ``cap`` masks of this size whose class had
     a hit, less those whose least key is at or above its ``threshold``;
     ``_harvest`` offers their hits, computed once per entry and offered
     under each of its S masks when the operator fixes S.
@@ -677,11 +678,8 @@ def _vector_shard(
                 for j, lhs in enumerate(sizes.reshape(len(batch), len(translates), 1 << n), i):
                     yield rows, j, lhs
 
-    position = 0  # stream position of the first mask of size m
-    for m in range(plan.a_min, plan.a_max + 1):
-        masks = size_mask_array(t.pops, m, plan.canonicalize)
-        mine = masks[(shard_index - position) % shard_count::shard_count]
-        position += masks.size
+    for m in range(plan.a_min + shard_index, plan.a_max + 1, shard_count):
+        mine = size_mask_array(t.pops, m, plan.canonicalize)
         work, entries, classes = key_map(m)
         for s_count, evaluated, pruned in classes:
             res.count(mine.size * s_count * b_count, evaluated, pruned)

@@ -196,11 +196,12 @@ class EnumerationPlan:
     ``canonicalize`` restricts A, and ``canonicalize_s`` a non-empty S, to
     the sets containing element index 0, in both modes.  Exhaustive
     streams list each of A, B and S by size, then by ascending mask value
-    (``size_masks``), so the scalar and the vectorized sweeps agree on which
-    A masks a shard owns.  Sampled mode draws ``sample_count`` triples
-    reproducibly from ``seed``, a pinned set as 0 plus the rest drawn from
-    the other indices; each triple's RNG is derived independently, so
-    shards agree for any shard count.  The drawn triple is the one checked.
+    (``size_masks``); the scalar sweep deals this stream's A masks to shards
+    round-robin, the kernel whole sizes of A.  Sampled mode draws
+    ``sample_count`` triples reproducibly from ``seed``, a pinned set as 0
+    plus the rest drawn from the other indices; each triple's RNG is derived
+    independently, so shards agree for any shard count.  The drawn triple is
+    the one checked.
     """
 
     group: GroupSpec

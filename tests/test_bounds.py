@@ -22,6 +22,29 @@ def sets_of_size(g, k):
     return rl.ElementSet.from_indices(g, range(k))
 
 
+def scalar_over_sizes(plan, cfg, sizes):
+    """The scalar path over the |A| sizes ``sizes`` of ``plan``, in one shard.
+
+    The kernel deals whole |A| sizes to shards, so this is what one of its
+    shards must give: one plan per size, counts summed, collectors merged.
+    """
+    cfg = dataclasses.replace(cfg, force_scalar=True)
+    res = bounds._ShardResult(bounds._TopK(cfg.max_witnesses), bounds._TopK(cfg.max_witnesses))
+    for m in sizes:
+        one = bounds._shard_worker((dataclasses.replace(plan, a_min=m, a_max=m), cfg, 0, 1))
+        res.evaluated += one.evaluated
+        res.pruned += one.pruned
+        res.triples += one.triples
+        res.violations.merge(one.violations)
+        res.tight.merge(one.tight)
+    return res
+
+
+def kernel_sizes(plan, shard_index, shard_count):
+    """The |A| sizes the kernel deals to a shard."""
+    return range(plan.a_min + shard_index, plan.a_max + 1, shard_count)
+
+
 class TestBoundValue:
     def test_thm1_saturates_at_p(self):
         assert rl.bound_value(BoundKind.THM1, 10, 12, 3, 13) == 13
@@ -383,7 +406,11 @@ class TestShardAccounting:
         )
         shards = [bounds._shard_worker((plan, cfg, i, shard_count))
                   for i in range(shard_count)]
-        assert all(r.evaluated > 0 for r in shards)  # some classes survive pruning
+        for i, r in enumerate(shards):
+            if force_scalar or kernel_sizes(plan, i, shard_count):
+                assert r.evaluated > 0  # some classes survive pruning
+            else:  # the kernel deals whole sizes: at a_max = 2 a third shard owns none
+                assert r.evaluated == r.pruned == 0
         total = sum(r.evaluated + r.pruned for r in shards)
         assert total == summary.checks_planned == plan.count_triples() * 4
         pruned = sum(r.pruned for r in shards)
@@ -397,24 +424,48 @@ class TestShardAccounting:
         ("Z5", 3, (K.TWISTED_PAN_SUN, K.THM1), (2, 3)),
     ])
     def test_each_shard_agrees_across_paths(self, name, b_max, kinds, gammas, prune):
-        # both paths give a shard the same A masks, so each shard's counts and
-        # witnesses agree, not only the merged summary
+        # each kernel shard's counts and witnesses agree with the scalar path
+        # over exactly that shard's |A| sizes, not only the merged summary
         g = rl.parse_group(name)
         plan = rl.EnumerationPlan(group=g, a_max=3, b_max=b_max, s_min=0, s_max=2)
-        shards = {}
-        for force_scalar in (False, True):
-            cfg = bounds._SweepConfig(
-                kinds=kinds, gammas=gammas, collect_violations=True, collect_tight=not prune,
-                ignore_applicability=False, max_witnesses=10 ** 6, prune=prune,
-                force_scalar=force_scalar,
-            )
-            shards[force_scalar] = [
-                (r.evaluated, r.pruned, r.triples, r.violations.total, r.tight.total,
-                 r.violations.sorted_payloads(), r.tight.sorted_payloads())
-                for r in (bounds._shard_worker((plan, cfg, i, 3)) for i in range(3))
-            ]
-        assert shards[False] == shards[True]
-        assert len({shard[0] for shard in shards[False]}) > 1  # the shards differ
+        cfg = bounds._SweepConfig(
+            kinds=kinds, gammas=gammas, collect_violations=True, collect_tight=not prune,
+            ignore_applicability=False, max_witnesses=10 ** 6, prune=prune,
+            force_scalar=False,
+        )
+
+        def summary(r):
+            return (r.evaluated, r.pruned, r.triples, r.violations.total, r.tight.total,
+                    r.violations.sorted_payloads(), r.tight.sorted_payloads())
+
+        fast = [summary(bounds._shard_worker((plan, cfg, i, 3))) for i in range(3)]
+        slow = [summary(scalar_over_sizes(plan, cfg, kernel_sizes(plan, i, 3)))
+                for i in range(3)]
+        assert fast == slow
+        assert len({shard[0] for shard in fast}) > 1  # the shards differ
+
+    @pytest.mark.parametrize("name,kind,s_min,s_max", [
+        ("Z14", K.BALISTER_WHEELER, 0, 0),
+        ("Z10", K.THM1, 1, 2),
+    ])
+    def test_table_work_does_not_grow_with_shards(self, monkeypatch, name, kind, s_min, s_max):
+        # the kernel deals whole |A| sizes, so one shard builds each size's
+        # key map and class tables, whatever the shard count
+        rows, plans = [], []
+        build, size_class = _masks.size_table_batch, bounds._size_class
+        monkeypatch.setattr(_masks, "size_table_batch",
+                            lambda cmasks, n: rows.append(len(cmasks)) or build(cmasks, n))
+        monkeypatch.setattr(bounds, "_size_class",
+                            lambda *args: plans.append(args[2:]) or size_class(*args))
+        plan = rl.EnumerationPlan(group=rl.parse_group(name), s_min=s_min, s_max=s_max)
+        work = {}
+        for shards in (1, 2, 3, 8):
+            rows.clear()
+            plans.clear()
+            rl.exhaustive_verify(plan, [kind], max_witnesses=0, shard_count=shards)
+            work[shards] = (sum(rows), len(plans))
+        assert work[1][0] > 0
+        assert len(set(work.values())) == 1, work
 
     def test_gamma_minus_one_raises(self):
         # no twisted check applies at gamma = -1, so a sweep of it would be
@@ -634,9 +685,8 @@ class TestChunkBoundaries:
         one, several, single = (rows_per_call[0, budget] for budget in budgets)
         assert len(one) < len(several) < len(single)
         assert max(one) > 4 * 3 and max(several) == 4 * 3 and set(single) == {1}
-        # one counting row per translation class of A with an owned member and
-        # count key that some check reads: the operator's (S, gamma) at the
-        # least translate of S
+        # one counting row per translation class of A and count key that some
+        # check reads: the operator's (S, gamma) at the least translate of S
         p = g.least_prime
         rep = _masks.tables_for(g).translation_rep
         pairs, keys = set(), set()
@@ -704,14 +754,15 @@ class TestTranslationClasses:
 
     (A, B, S) -> (A + x, B + x/gamma, S) keeps the lhs, so every member of a
     class has the same hit counts over all B; witnesses are rebuilt, in the
-    same pass over |A|, for the first cap owned A masks of that size whose
+    same pass over |A|, for the first cap A masks of that size whose
     class had a hit.
     """
 
     @pytest.mark.parametrize("shards", [1, 3])
     def test_one_plan_per_size_class(self, monkeypatch, shards):
         # each |A| is walked once, counting and harvesting from one key map,
-        # so each shard plans every (|A|, |S|) class exactly once
+        # by the one shard it is dealt to: a shard plans each (|A|, |S|)
+        # class of its own sizes exactly once, and the shards each class once
         calls = []
         size_class = bounds._size_class
 
@@ -727,12 +778,15 @@ class TestTranslationClasses:
             collect_tight=True, ignore_applicability=False, max_witnesses=5,
             prune=False, force_scalar=False,
         )
-        classes = [(m, h) for m in range(1, 5) for h in range(3)]
+        planned = []
         for i in range(shards):
             calls.clear()
             res = bounds._vector_shard(plan, cfg, i, shards)
             assert res.tight.heap  # the shard harvested witness rows
-            assert sorted(calls) == classes
+            assert sorted(calls) == [(m, h) for m in kernel_sizes(plan, i, shards)
+                                     for h in range(3)]
+            planned += calls
+        assert sorted(planned) == [(m, h) for m in range(1, 5) for h in range(3)]
 
     @pytest.mark.parametrize("g", rl.abelian_groups_up_to(10), ids=rl.format_group)
     def test_rep_is_least_translate(self, g):
@@ -754,21 +808,24 @@ class TestTranslationClasses:
         plan = rl.EnumerationPlan(group=g, a_max=a_max, b_max=b_max, s_min=1, s_max=s_max,
                                   canonicalize=canonicalize, canonicalize_s=canonicalize_s)
 
-        def shards(count, cap, force_scalar):
-            cfg = bounds._SweepConfig(
+        def config(cap):
+            return bounds._SweepConfig(
                 kinds=(K.TWISTED_PAN_SUN,), gammas=(2, 3, 5), collect_violations=True,
                 collect_tight=True, ignore_applicability=False, max_witnesses=cap,
-                prune=False, force_scalar=force_scalar,
+                prune=False, force_scalar=False,
             )
-            return [bounds._shard_worker((plan, cfg, i, count)) for i in range(count)]
 
         for count in (1, 2, 3):
             # a collector of cap c keeps the c least keys, so each cap's
-            # witnesses are a prefix of the uncapped ones
-            slow = shards(count, 10 ** 6, True)
+            # witnesses are a prefix of the uncapped ones; each kernel shard
+            # is compared with the scalar path over its own |A| sizes
+            slow = [scalar_over_sizes(plan, config(10 ** 6), kernel_sizes(plan, i, count))
+                    for i in range(count)]
             assert all(r.violations.total and r.tight.total for r in slow)
             for cap in (0, 1, 7, 100):
-                for fast, want in zip(shards(count, cap, False), slow):
+                shards = [bounds._shard_worker((plan, config(cap), i, count))
+                          for i in range(count)]
+                for fast, want in zip(shards, slow):
                     assert (fast.evaluated, fast.pruned, fast.triples) == (
                         want.evaluated, want.pruned, want.triples)
                     for got, full in ((fast.violations, want.violations),
