@@ -44,19 +44,41 @@ class MaskTables:
         self.index = index_table(group)
         self.add = self.index.add_array()
         self.pops = popcount_table(n)
+        self._orbit_reps: dict[tuple[int, ...], np.ndarray] = {}
 
-    @functools.cached_property
+    @property
     def translation_rep(self) -> np.ndarray:
-        """rep[m] = the least mask among the translates x + m, one value per translation class.
+        """rep[m] = the least mask among the translates x + m: ``orbit_rep((1,))``."""
+        return self.orbit_rep((1,))
 
-        Built on first use, as n - 1 union tables: the singletons {x + b} of a
-        fixed x map each mask m to the mask of x + m.
+    def orbit_rep(self, units: tuple[int, ...]) -> np.ndarray:
+        """rep[m] = the least mask among the translates x + u*m for u in ``units``.
+
+        ``units`` must be a subgroup H of the units (1 included), so that rep
+        is one value per orbit of m -> u*m + x.  Built on first use and cached
+        per H: the translates are n - 1 union tables of the singletons
+        {x + b}, and each u != 1 adds the union table of {u*b}, read through
+        the translation reps.
         """
-        rep = np.arange(1 << self.n, dtype=MASK_DTYPE)  # x = 0
-        for x in range(1, self.n):
-            singles = (np.int64(1) << self.add[x]).astype(MASK_DTYPE)  # bit x + b for each b
-            np.minimum(rep, union_table(singles, self.n), out=rep)
+        rep = self._orbit_reps.get(units)
+        if rep is None:
+            if units == (1,):
+                rep = np.arange(1 << self.n, dtype=MASK_DTYPE)  # x = 0
+                for x in range(1, self.n):
+                    np.minimum(rep, self._image_table(self.add[x]), out=rep)
+            else:
+                translates = self.translation_rep
+                rep = translates.copy()
+                for u in units:
+                    if u != 1:
+                        np.minimum(rep, translates[self._image_table(self.index.scaled(u))],
+                                   out=rep)
+            self._orbit_reps[units] = rep
         return rep
+
+    def _image_table(self, row) -> np.ndarray:
+        """P[m] = mask of {row[b] : b in m} for every mask m, e.g. x + m for an add row."""
+        return union_table((np.int64(1) << np.asarray(row)).astype(MASK_DTYPE), self.n)
 
     # -- contribution masks --------------------------------------------------------
     #

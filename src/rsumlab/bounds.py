@@ -9,10 +9,12 @@ at each |B|; both sweep paths read them.  Exhaustive sweeps go class
 first: for each |A| with checks left they gather the checks of all its |S|
 classes under the (S, gamma) their operator reads, one S per translation
 class of S (plain and restricted fix theirs), group its A masks, one slice
-of the popcount table, by translation class, and evaluate all B at once
+of the popcount table, by orbit under translations and the units that map
+every S class it reads to a translate of itself, and evaluate all B at once
 through the mask tables in ``_masks``, once per pair of classes: a
-translate of A or of S has the same hit counts.  The same pass over each
-|A| harvests witness rows, real triples, from its first A masks with hits.
+translate of A or of S, and a unit multiple u(A, B, S), have the same hit
+counts.  The same pass over each |A| harvests witness rows, real triples,
+from its first A masks with hits.
 A scalar fallback walks the triple stream one triple at a time,
 evaluating each operator once per triple by the engine's pair loop, and is
 kept bit-for-bit consistent with the vectorized path (tests compare the two).
@@ -30,6 +32,7 @@ from __future__ import annotations
 import functools
 import heapq
 import json
+import math
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -45,7 +48,7 @@ from .engine import (
     sumset,
     twisted_restricted_sumset,
 )
-from .groups import GroupSpec, format_group
+from .groups import GroupSpec, format_group, map_bits
 from .sets import (
     ElementSet,
     EnumerationPlan,
@@ -88,15 +91,16 @@ class BoundKind(Enum):
     PROP34 = "prop34"
     TWISTED_PAN_SUN = "twisted"
 
-    @property
+    # cached on the member, as a lookup keyed by an enum member hashes it in Python
+    @functools.cached_property
     def info(self) -> "_KindInfo":
         return _KIND_INFO[self]
 
-    @property
+    @functools.cached_property
     def operator(self) -> Operator:
         return self.info.operator
 
-    @property
+    @functools.cached_property
     def reads_s(self) -> bool:
         """Whether the operator reads the sweep's S; plain and restricted fix theirs."""
         return self.operator not in _FIXED_S
@@ -482,11 +486,41 @@ def _planned_checks(
             f"no checks planned: the twisted bound needs a prime cyclic group and a "
             f"gamma other than 0 and -1, got {format_group(plan.group)}"
         )
+    reasons = [] if cfg.ignore_applicability else _failed_everywhere(plan, cfg)
+    if reasons:
+        raise ValueError(f"no planned check applies at any size class of the plan: "
+                         f"{'; '.join(reasons)}")
     if checks > work_ceiling:
         raise WorkCeilingExceeded(
             f"planned {checks} checks exceed the work ceiling {work_ceiling}"
         )
     return checks
+
+
+def _failed_everywhere(plan: EnumerationPlan, cfg: _SweepConfig) -> list[str]:
+    """Each kind's first failed hypothesis when no (kind, gamma) check applies anywhere.
+
+    [] as soon as one check applies.  A hypothesis reads |A| and |B| only
+    through |A| = |B| and min(|A|, |B|), so at each |S| the size pairs
+    (a_max, b_max), (M, M), (M, M - 1) and (M - 1, M) with M = min(a_max, b_max)
+    cover every case, less those outside the plan's ranges; the work does not
+    grow with |G|.  Gamma = -1 is refused before this, so a kind's first
+    gamma decides for all of its gammas.
+    """
+    top = min(plan.a_max, plan.b_max)
+    pairs = [(a, b) for a, b in ((plan.a_max, plan.b_max), (top, top), (top, top - 1),
+                                 (top - 1, top))
+             if plan.a_min <= a <= plan.a_max and plan.b_min <= b <= plan.b_max]
+    reasons: dict[BoundKind, str] = {}
+    for kind in cfg.kinds:
+        for gamma in _kind_gammas(kind, cfg)[:1]:
+            for h in range(plan.s_min, plan.s_max + 1):
+                for a, b in pairs:
+                    reason = _failed_hypothesis(kind, plan.group, a, b, h, gamma)
+                    if not reason:
+                        return []
+                    reasons.setdefault(kind, f"{kind.value} ({reason})")
+    return list(reasons.values())
 
 
 def _shard_worker(args) -> _ShardResult:
@@ -578,7 +612,7 @@ def _harvest(collector: _TopK, rows, cols, chunk, smask, kind, gamma, lhs, rhs, 
 def _vector_shard(
     plan: EnumerationPlan, cfg: _SweepConfig, shard_index: int, shard_count: int
 ) -> _ShardResult:
-    """Evaluate every B at once, one size table per translation class of A and of S.
+    """Evaluate every B at once, one size table per unit orbit of A and translation class of S.
 
     Shard i of N walks every N-th |A| of the plan from a_min + i, and takes
     all A masks of each size, one slice of the popcount table.  Each
@@ -592,16 +626,27 @@ def _vector_shard(
     ``_CHUNK_BYTES``, and each batch's checks run before the next is built.
 
     Each |A| is one pass over one key map.  It counts with tables built once
-    per translation class of the size's A masks, for its least member
-    (``MaskTables.translation_rep``): (A, B, S) -> (A + x, B + x/gamma, S)
-    keeps the lhs, |B| and B = A (the only B = A checks are at gamma = 1), so
-    each member of a class has its least member's hits.  Likewise
+    per class of the size's A masks, for its least member.  A class holds
+    at least a translation class (``MaskTables.translation_rep``), as
+    (A, B, S) -> (A + x, B + x/gamma, S) keeps the lhs, |B| and B = A (the
+    only B = A checks are at gamma = 1), so each member of a translation
+    class has its least member's hits.  Likewise
     (A, B, S) -> (A, B - y/gamma, S + y) keeps the lhs, as the sum only
     moves by -y/gamma, and |B|; every gamma a sweep takes is a unit, so a
     check whose operator reads S is keyed at the least translate of S, and
     one entry stands for the plan's masks of that class.  An operator that
     fixes S has one entry per |S| class for all its masks.  An entry's hits
     count once per member of the A class and per S mask it stands for.
+
+    The A classes are orbits under units as well.  For a unit u (coprime to
+    the exponent), (A, B, S) -> (uA, uB, uS) keeps the lhs at every gamma,
+    since u(a - gamma*b) = ua - gamma*(ub), and keeps every size and B = A.
+    So if u maps each entry's S class to a translate of itself, uA has A's
+    hits at every entry.  Each pass takes H, the units that do so for every
+    S its keys read, and groups by ``MaskTables.orbit_rep(H)``.  Every unit
+    fixes S = {} and S = {0}, so a pass of plain and restricted keys merges
+    A under all units; -1 maps every S of at most two elements to a
+    translate of itself.
 
     Then it builds tables for the A masks that can still give a collector
     witness rows, at the real (S, gamma) keys of the S masks that the
@@ -631,6 +676,14 @@ def _vector_shard(
     else:
         collectors = (res.violations if cfg.collect_violations else res.tight,)
     chunk_rows = _chunk_rows(n)
+    exponent = math.lcm(*g.factors)
+    units = [u for u in range(1, exponent) if math.gcd(u, exponent) == 1]
+
+    @functools.cache
+    def fixing(smask):
+        """The units u that map the S class with least translate ``smask`` to itself."""
+        return {u for u in units
+                if t.translation_rep[map_bits(smask, t.index.scaled(u))] == smask}
 
     @functools.cache
     def kept(smask, gamma):
@@ -686,8 +739,11 @@ def _vector_shard(
         if not work:
             continue
         keys = list(work)
+        # H: the units that map every S class the keys read to a translate of itself
+        s_keys = {smask for smask, _ in keys}
+        fixed = tuple(u for u in units if all(u in fixing(smask) for smask in s_keys))
         reps, member_rep, weight = np.unique(
-            t.translation_rep[mine], return_inverse=True, return_counts=True)
+            t.orbit_rep(fixed)[mine], return_inverse=True, return_counts=True)
         # hit_at[c, e, r]: class r had a hit for collectors[c] in entries[e]
         hit_at = np.zeros((len(collectors), len(entries), reps.size), dtype=bool)
         for rows, j, lhs in tables(reps, keys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -11,7 +12,7 @@ import rsumlab as rl
 from rsumlab import _masks, bounds
 from rsumlab.bounds import BoundKind
 from rsumlab.sets import plan_a_masks, plan_b_masks, plan_s_masks
-from conftest import set_of
+from conftest import o_add, o_elements, o_perm, o_scale, perm_mask_table, set_of
 
 
 def S(g, text):
@@ -38,6 +39,42 @@ def scalar_over_sizes(plan, cfg, sizes):
         res.violations.merge(one.violations)
         res.tight.merge(one.tight)
     return res
+
+
+def raise_rhs(monkeypatch, kind, by):
+    """Raise ``kind``'s rhs by ``by``, in the catalog and in the ``info`` cached on the member."""
+    info = dataclasses.replace(kind.info, c0=kind.info.c0 + by)
+    monkeypatch.setitem(bounds._KIND_INFO, kind, info)
+    monkeypatch.setitem(vars(kind), "info", info)
+
+
+def unit_group(g):
+    """The units mod the exponent of g: x -> u*x is an automorphism exactly for these."""
+    e = math.lcm(*g.factors)
+    return [u for u in range(1, e) if math.gcd(u, e) == 1]
+
+
+def unit_subgroups(g):
+    """Every subgroup of ``unit_group(g)``, as ascending tuples."""
+    e = math.lcm(*g.factors)
+    units = unit_group(g)
+    subsets = ((1, *rest) for r in range(len(units))
+               for rest in itertools.combinations(units[1:], r))
+    return [h for h in subsets if all(u * v % e in h for u in h for v in h)]
+
+
+def scaled_masks(g, u):
+    """P[m] = mask of u*m for every mask m, by tuple arithmetic."""
+    f = g.factors
+    return perm_mask_table(o_perm(f, lambda e: o_scale(f, u, e)))
+
+
+def affine_orbit_reps(g, units):
+    """rep[m] = the least mask of u*m + y over u in ``units`` and y in g, by tuple arithmetic."""
+    f = g.factors
+    return np.minimum.reduce([
+        perm_mask_table(o_perm(f, lambda e, u=u, y=y: o_add(f, o_scale(f, u, e), y)))
+        for u in units for y in o_elements(f)])
 
 
 def kernel_sizes(plan, shard_index, shard_count):
@@ -192,9 +229,9 @@ SCALAR_VECTOR_CASES = [  # group, |A| and |B| cap, max |S|, kinds
     ("Z7", 4, 1, (K.TWISTED_PAN_SUN,)),
     ("Z8", 3, 1, (K.PRIME_POWER_S, K.PROP34, K.KAROLYI)),
     ("Z5", None, 1, (K.CAUCHY_DAVENPORT, K.ERDOS_HEILBRONN, K.ANR)),
-    # the group hypotheses fail
+    # the group hypotheses fail; alone these kinds plan no check that applies
     ("Z6", 2, 2, (K.CAUCHY_DAVENPORT, K.ERDOS_HEILBRONN, K.ANR, K.PAN_SUN, K.PRIME_POWER_S,
-                  K.PROP34)),
+                  K.PROP34, K.KNESER_CD)),
     ("Z3xZ3", 3, 1, (K.PRIME_POWER_S, K.PROP34, K.THM2)),
 ]
 
@@ -719,8 +756,7 @@ class TestViolationsAndTightInOneTable:
 
     @pytest.fixture(autouse=True)
     def raised_thm1(self, monkeypatch):
-        info = bounds._KIND_INFO[K.THM1]
-        monkeypatch.setitem(bounds._KIND_INFO, K.THM1, dataclasses.replace(info, c0=info.c0 + 2))
+        raise_rhs(monkeypatch, K.THM1, 2)
 
     @pytest.mark.parametrize("name,cap", [("Z5", None), ("Z2xZ4", 2)])
     def test_vector_matches_scalar(self, monkeypatch, name, cap):
@@ -801,9 +837,7 @@ class TestTranslationClasses:
     def test_each_shard_matches_scalar_twisted(self, monkeypatch, name, a_max, b_max, s_max,
                                                canonicalize, canonicalize_s):
         # twisted's rhs raised by 2, so both collectors get hits in many classes
-        info = bounds._KIND_INFO[K.TWISTED_PAN_SUN]
-        monkeypatch.setitem(bounds._KIND_INFO, K.TWISTED_PAN_SUN,
-                            dataclasses.replace(info, c0=info.c0 + 2))
+        raise_rhs(monkeypatch, K.TWISTED_PAN_SUN, 2)
         g = rl.parse_group(name)
         plan = rl.EnumerationPlan(group=g, a_max=a_max, b_max=b_max, s_min=1, s_max=s_max,
                                   canonicalize=canonicalize, canonicalize_s=canonicalize_s)
@@ -858,8 +892,7 @@ class TestTranslationClassesOfS:
         name, kinds, gammas, mode, a_max, b_max = self.CASES[case]
         # every rhs raised by 2, so both collectors get hits and a cap of 7 bites
         for kind in kinds:
-            info = bounds._KIND_INFO[kind]
-            monkeypatch.setitem(bounds._KIND_INFO, kind, dataclasses.replace(info, c0=info.c0 + 2))
+            raise_rhs(monkeypatch, kind, 2)
         plan = rl.EnumerationPlan(group=rl.parse_group(name), a_max=a_max, b_max=b_max,
                                   s_min=0, s_max=2, canonicalize=canonicalize,
                                   canonicalize_s=canonicalize_s)
@@ -881,9 +914,10 @@ class TestTranslationClassesOfS:
     @pytest.mark.parametrize("canonicalize_s", [False, True])
     @pytest.mark.parametrize("name,gammas", [("Z7", (2, 3)), ("Z2xZ4", None)])
     def test_counting_rows(self, monkeypatch, name, gammas, canonicalize_s):
-        # with no witness rows to harvest, each |A| builds one row per
-        # translation class of A and count key some check reads: the
-        # operator's (S, gamma) at the least translate of S
+        # with no witness rows to harvest, each |A| builds one row per count
+        # key some check reads, the operator's (S, gamma) at the least
+        # translate of S, and per orbit of A under the translations and the
+        # units that map every key's S class to itself
         g = rl.parse_group(name)
         plan = rl.EnumerationPlan(group=g, a_max=3, b_max=3, s_min=0, s_max=2,
                                   canonicalize_s=canonicalize_s)
@@ -894,9 +928,9 @@ class TestTranslationClassesOfS:
         def least(mask):
             return min(rl.ElementSet(g, mask).translate(x).bits for x in g.elements())
 
+        scaled = {u: scaled_masks(g, u) for u in unit_group(g)}
         want = 0
         for m in range(plan.a_min, plan.a_max + 1):
-            a_classes = {least(a) for a in range(1 << g.order) if a.bit_count() == m}
             keys = set()
             for smask in plan_s_masks(plan):
                 h = smask.bit_count()
@@ -906,7 +940,11 @@ class TestTranslationClassesOfS:
                                and bounds.bound_value(kind, m, k, h, p) >= 0
                                for k in range(plan.b_min, plan.b_max + 1)):
                             keys.add(bounds._operator_s_gamma(kind, least(smask), gamma))
-            want += len(a_classes) * len(keys)
+            fixed = [u for u, image in scaled.items()
+                     if all(least(int(image[smask])) == smask for smask, _ in keys)]
+            a_orbits = {min(least(int(scaled[u][a])) for u in fixed)
+                        for a in range(1 << g.order) if a.bit_count() == m}
+            want += len(a_orbits) * len(keys)
         rows = []
         build = _masks.size_table_batch
         monkeypatch.setattr(_masks, "size_table_batch",
@@ -914,6 +952,62 @@ class TestTranslationClassesOfS:
         summary = rl.exhaustive_verify(plan, kinds, gammas=gammas, max_witnesses=0)
         assert summary.tight_count > 0
         assert sum(rows) == want
+
+
+class TestUnitOrbits:
+    """The kernel counts once per orbit of A under translations and units.
+
+    u(a - gamma*b) = ua - gamma*(ub), so (A, B, S) -> (uA, uB, uS) keeps the
+    lhs for every unit u; each |A| pass groups its A masks by the units that
+    map every S class it reads to a translate of itself.
+    """
+
+    @pytest.mark.parametrize("name", ["Z7", "Z8", "Z9", "Z10", "Z12", "Z2xZ4", "Z3xZ3"])
+    def test_orbit_rep_is_least_affine_image(self, name):
+        g = rl.parse_group(name)
+        t = _masks.tables_for(g)
+        subgroups = unit_subgroups(g)
+        assert len(subgroups) > 1
+        for units in subgroups:
+            assert np.array_equal(t.orbit_rep(units), affine_orbit_reps(g, units)), units
+        assert t.translation_rep is t.orbit_rep((1,))
+
+    def test_counting_rows_z14_bw(self, monkeypatch):
+        # bw reads the fixed S = {0}, which every unit fixes, and every |A|
+        # has checks: one counting row per orbit of translations and all units
+        g = rl.parse_group("Z14")
+        orbits = np.unique(affine_orbit_reps(g, unit_group(g))[1:]).size
+        translation_classes = np.unique(affine_orbit_reps(g, (1,))[1:]).size
+        assert orbits < translation_classes
+        rows = []
+        build = _masks.size_table_batch
+        monkeypatch.setattr(_masks, "size_table_batch",
+                            lambda cmasks, n: rows.append(len(cmasks)) or build(cmasks, n))
+        plan = rl.EnumerationPlan(group=g, s_min=0, s_max=0)
+        rl.exhaustive_verify(plan, [K.BALISTER_WHEELER], max_witnesses=0)
+        assert sum(rows) == orbits
+
+    @pytest.mark.parametrize("g,kinds,b_max", [
+        *((g, bounds.ALL_KINDS, 2) for g in rl.abelian_groups_up_to(10)),
+        (rl.parse_group("Z11"), (K.THM1, K.PAN_SUN, K.TWISTED_PAN_SUN), 3),
+        (rl.parse_group("Z13"), (K.THM1, K.PAN_SUN, K.TWISTED_PAN_SUN), 2),
+    ], ids=lambda v: rl.format_group(v) if isinstance(v, rl.GroupSpec) else None)
+    def test_counts_match_scalar(self, g, kinds, b_max):
+        # the true bounds, so tight hits are sparse: on Z11 at |B| <= 3 the
+        # witness rows also change if the kernel merges A masks under a unit
+        # that moves an S class it reads
+        plan = rl.EnumerationPlan(group=g, a_max=min(3, g.order), b_max=b_max, s_min=0,
+                                  s_max=2, canonicalize=g.order > 10, canonicalize_s=True)
+        gammas = (2, 5) if g.is_prime_cyclic and g.order > 6 else None
+
+        def run(**kw):
+            return rl.exhaustive_verify(plan, kinds, gammas=gammas, max_witnesses=7, **kw)
+
+        slow = run(force_scalar=True)
+        assert slow.tight_count > 0
+        for shards in (1, 3):
+            fast = run(shard_count=shards)
+            assert fast.to_json(include_timing=False) == slow.to_json(include_timing=False), shards
 
 
 class TestTwistedCanonicalization:
@@ -1053,9 +1147,7 @@ class TestScalarPathAboveTableOrder:
 
     @pytest.fixture(autouse=True)
     def raised_thm1(self, monkeypatch):
-        info = bounds._KIND_INFO[K.THM1]
-        monkeypatch.setitem(bounds._KIND_INFO, K.THM1,
-                            dataclasses.replace(info, c0=info.c0 + 200))
+        raise_rhs(monkeypatch, K.THM1, 200)
 
     def test_rhs_at_p(self):
         g = rl.parse_group("Z131")
@@ -1089,9 +1181,12 @@ class TestScalarPathAboveTableOrder:
         monkeypatch.setattr(bounds, "_failed_hypothesis", counted)
         gammas = [2, 3, 5]
         rl.exhaustive_verify(plan, [K.TWISTED_PAN_SUN, K.THM1], gammas=gammas, max_witnesses=0)
+        # the plan's applicability check stops at its first size pair, which applies
+        assert seen[0] == (plan.a_max, plan.b_max, plan.s_min)
+        sweep = seen[1:]
         drawn = {(a.size, b.size, s.size) for a, b, s in rl.enumerate_triples(plan)}
-        assert set(seen) == drawn
-        assert len(seen) == len(drawn) * (len(gammas) + 1)
+        assert set(sweep) == drawn
+        assert len(sweep) == len(drawn) * (len(gammas) + 1)
 
 
 class TestSearch:
