@@ -8,7 +8,13 @@ contiguous numpy writes, which turns "for every subset B, the union of
 per-element contributions" into a few microseconds of work.  The verifier
 and the exhaustive invariant tests are built on these tables.
 
-The sweep kernel only needs the sizes |U[m]|, so ``size_table_batch`` runs
+X +_S Y is the union over y in Y of y + (X minus (gamma*y + S)), and
+translating by y is a bijection, so candidate y contributes the translate
+y + X less (1+gamma)*y + S.  That is the one contribution-mask rule,
+``cmasks_general(A) & kept(S, gamma)``, and ``MaskTables.size_tables``, the
+one builder of |A +_S B| tables, applies it for the sweep kernel and the tests.
+
+Size tables need only the sizes |U[m]|, so ``size_table_batch`` runs
 the recursion on byte planes: byte j of every contribution mask holds the
 elements 8j..8j+7, the unions of each plane are taken on their own, and the
 popcounts of the planes add up to the size.  numpy counts uint8 bits with a
@@ -20,8 +26,6 @@ memory); everything here is internal API.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -45,6 +49,7 @@ class MaskTables:
         self.add = self.index.add_array()
         self.pops = popcount_table(n)
         self._orbit_reps: dict[tuple[int, ...], np.ndarray] = {}
+        self._kept: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def translation_rep(self) -> np.ndarray:
@@ -80,38 +85,43 @@ class MaskTables:
         """P[m] = mask of {row[b] : b in m} for every mask m, e.g. x + m for an add row."""
         return union_table((np.int64(1) << np.asarray(row)).astype(MASK_DTYPE), self.n)
 
-    # -- contribution masks --------------------------------------------------------
-    #
-    # X +_S Y = union over y in Y of (y + (X minus (gamma*y + S))), so fixing
-    # the first operand and S gives one contribution mask per candidate y.
-    # Translating by y is a bijection, so that mask is
-    # (y + X) minus ((1+gamma)*y + S): a translate of X that does not depend on
-    # (S, gamma), less an exclusion that does not depend on X.
-
-    def cmasks_general(self, abits, sbits: int, gamma: int = 1) -> np.ndarray:
-        """C[..., b] = mask of b + (A \\ (gamma*b + S)) for each element index b.
+    def cmasks_general(self, abits) -> np.ndarray:
+        """T[..., b] = mask of the translate b + A for each element index b.
 
         ``abits`` is one mask (result shape ``(n,)``) or an array of k masks
-        (result shape ``(k, n)``).  With S = {} the result is the translates
-        b + A alone, with no exclusion applied.
+        (result shape ``(k, n)``).
         """
         members = np.asarray(abits, dtype=np.int64)[..., None] >> np.arange(self.n) & 1
         # member x of A lands on bit add[x][b] of b + A; for fixed b these bits
         # are distinct, so their sum is their union
-        translates = (members[..., None] << self.add).sum(axis=-2)
-        if sbits:
-            translates &= ~self.exclusions(sbits, gamma)
-        return translates.astype(MASK_DTYPE)
+        return (members[..., None] << self.add).sum(axis=-2).astype(MASK_DTYPE)
 
-    def exclusions(self, sbits: int, gamma: int = 1) -> np.ndarray:
-        """E[b] = mask of (1+gamma)*b + S for each element index b."""
-        if gamma != 1 and self.group.rank != 1:
-            raise ValueError("twist is only defined on rank-1 groups")
-        excluded = np.zeros(self.n, dtype=np.int64)  # excluded[c] = mask of c + S
-        for x in range(self.n):
-            if sbits >> x & 1:
-                excluded |= np.int64(1) << self.add[x]
-        return excluded[self.index.scaled(1 + gamma)]
+    def kept(self, sbits: int, gamma: int = 1) -> np.ndarray:
+        """K[b] = mask of the elements outside (1+gamma)*b + S; cached per (S, gamma)."""
+        if (sbits, gamma) not in self._kept:
+            if gamma != 1 and self.group.rank != 1:
+                raise ValueError("twist is only defined on rank-1 groups")
+            members = [x for x in range(self.n) if sbits >> x & 1]  # excluded[c] = mask of c + S
+            excluded = np.bitwise_or.reduce(np.int64(1) << self.add[members])
+            self._kept[sbits, gamma] = (~excluded[self.index.scaled(1 + gamma)]).astype(MASK_DTYPE)
+        return self._kept[sbits, gamma]
+
+    def size_tables(self, amasks: np.ndarray, keys, chunk_rows: int):
+        """Yield (rows, j, sizes), sizes[r, B] = |A +_S B| at A = amasks[rows][r]
+        and (S, gamma) = keys[j]: one ``size_table_batch`` call per chunk of
+        ``chunk_rows`` A masks and batch of keys, at most ``chunk_rows`` rows each.
+        """
+        n = self.n
+        for first in range(0, amasks.size, chunk_rows):
+            rows = slice(first, first + chunk_rows)
+            translates = self.cmasks_general(amasks[rows])
+            per_batch = max(1, chunk_rows // len(translates))
+            for i in range(0, len(keys), per_batch):
+                batch = keys[i:i + per_batch]
+                cmasks = np.stack([self.kept(*key) for key in batch])[:, None] & translates
+                sizes = size_table_batch(cmasks.reshape(-1, n), n)
+                for j, lhs in enumerate(sizes.reshape(len(batch), len(translates), 1 << n), i):
+                    yield rows, j, lhs
 
 
 def popcount_table(n: int) -> np.ndarray:

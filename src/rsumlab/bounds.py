@@ -101,9 +101,18 @@ class BoundKind(Enum):
         return self.info.operator
 
     @functools.cached_property
+    def fixed_s(self) -> int | None:
+        """The S mask the operator fixes (plain and restricted), or None if it reads S."""
+        return _FIXED_S.get(self.operator)
+
+    @functools.cached_property
     def reads_s(self) -> bool:
         """Whether the operator reads the sweep's S; plain and restricted fix theirs."""
-        return self.operator not in _FIXED_S
+        return self.fixed_s is None
+
+    @functools.cached_property
+    def position(self) -> int:
+        return ALL_KINDS.index(self)
 
 
 # Each operator is A +_S B = {a + b : a - gamma*b not in S} at the (S, gamma) that
@@ -114,8 +123,8 @@ _FIXED_S = {Operator.PLAIN: 0, Operator.RESTRICTED: 1}
 
 def _operator_s_gamma(kind: BoundKind, smask: int, gamma) -> tuple[int, int]:
     """The (S mask, gamma) that ``kind``'s operator reads of the sweep's (S, gamma)."""
-    op = kind.operator
-    return _FIXED_S.get(op, smask), gamma if op is Operator.TWISTED else 1
+    fixed = kind.fixed_s
+    return smask if fixed is None else fixed, gamma if kind.operator is Operator.TWISTED else 1
 
 
 @dataclass(frozen=True)
@@ -170,7 +179,6 @@ _KIND_INFO = {
 }
 
 ALL_KINDS = tuple(BoundKind)
-_KIND_POSITION = {kind: i for i, kind in enumerate(ALL_KINDS)}
 # The kernel counts a kind that reads S once per translation class of S, a
 # count that moves B to B + y; a B = A check cannot follow it, so it fixes S.
 assert not any(kind.reads_s and kind.info.equal_sets for kind in ALL_KINDS)
@@ -374,7 +382,7 @@ def _triple_key(order: int, amask: int, bmask: int, smask: int, kind: BoundKind,
     span = 1 << order
     code = 0 if gamma is None else (gamma % order) + 1
     key = ((amask * span + bmask) * span + smask)
-    return (key * len(ALL_KINDS) + _KIND_POSITION[kind]) * (order + 2) + code
+    return (key * len(ALL_KINDS) + kind.position) * (order + 2) + code
 
 
 def _witness(order, amask, bmask, smask, kind, gamma, lhs, rhs) -> tuple[int, tuple]:
@@ -582,22 +590,13 @@ def _chunk_rows(order: int) -> int:
     return max(1, _CHUNK_BYTES // (_masks.plane_count(order) << order))
 
 
-def _hits(cmp, lhs, rhs, amasks, n, same):
-    """(chunk rows, B masks) where cmp(lhs, rhs) holds; only B = A when ``same``."""
-    if same:
-        r = np.flatnonzero(cmp(lhs[np.arange(amasks.size), amasks], rhs[amasks]))
-        return r, amasks[r]
-    idx = np.flatnonzero(cmp(lhs, rhs))  # far faster than a 2-d nonzero
-    return idx >> n, idx & ((1 << n) - 1)
-
-
 def _harvest(collector: _TopK, rows, cols, chunk, smask, kind, gamma, lhs, rhs, n) -> None:
     """Offer the hits (rows[i], cols[i]) = (index into chunk, B mask) as witnesses.
 
     It only offers: the kernel has already added every hit to the
     collector's total.  The hits must arrive in ascending key order.
-    They do when the chunk's A masks ascend: ``_hits`` lists them row by row,
-    B masks ascend within a row, and smask, kind and gamma are fixed per
+    They do when the chunk's A masks ascend: the kernel lists them row by
+    row, B masks ascend within a row, and smask, kind and gamma are fixed per
     call.  A hit the collector keeps is then never evicted by a later one of
     the same call, so only the first ``cap`` hits can be kept, and after the
     first refusal none can.
@@ -619,10 +618,8 @@ def _vector_shard(
     (|A|, |S|) class is planned and counted once, its rhs read out over B by
     the B popcounts, and its checks are gathered under the (S, gamma) that
     their operator reads, in one key map for all classes of that |A|.  Only
-    sizes with checks left are walked.  Size tables hold |A +_S B| for a
-    chunk of A masks, one per key: the chunk's translates b + A less the
-    exclusions (1+gamma)*b + S, whose row is built once per shard.  They are
-    built a batch of keys per ``_masks.size_table_batch`` call, within
+    sizes with checks left are walked.  ``MaskTables.size_tables`` builds
+    the |A +_S B| tables, by chunks of A masks and batches of keys within
     ``_CHUNK_BYTES``, and each batch's checks run before the next is built.
 
     Each |A| is one pass over one key map.  It counts with tables built once
@@ -685,11 +682,6 @@ def _vector_shard(
         return {u for u in units
                 if t.translation_rep[map_bits(smask, t.index.scaled(u))] == smask}
 
-    @functools.cache
-    def kept(smask, gamma):
-        """The bits each translate keeps at the operator's (S, gamma): ~exclusions."""
-        return (~t.exclusions(smask, gamma)).astype(_masks.MASK_DTYPE)
-
     def key_map(m):
         """|A| = m's key map, (S, gamma) -> positions in its check entries, and
         its (|S| masks, evaluated, pruned).
@@ -717,20 +709,6 @@ def _vector_shard(
                     entries.append((members, kind, gamma, same, rhs))
         return work, entries, classes
 
-    def tables(amasks, keys):
-        """(rows, j, lhs) per chunk of ``amasks`` and ``keys[j]``; rows slices amasks."""
-        for first in range(0, amasks.size, chunk_rows):
-            rows = slice(first, first + chunk_rows)
-            translates = t.cmasks_general(amasks[rows], 0)
-            # a batch holds at most as many table rows as a full chunk
-            per_batch = max(1, chunk_rows // len(translates))
-            for i in range(0, len(keys), per_batch):
-                batch = keys[i:i + per_batch]
-                cmasks = np.stack([kept(*key) for key in batch])[:, None] & translates
-                sizes = _masks.size_table_batch(cmasks.reshape(-1, n), n)
-                for j, lhs in enumerate(sizes.reshape(len(batch), len(translates), 1 << n), i):
-                    yield rows, j, lhs
-
     for m in range(plan.a_min + shard_index, plan.a_max + 1, shard_count):
         mine = size_mask_array(t.pops, m, plan.canonicalize)
         work, entries, classes = key_map(m)
@@ -746,7 +724,7 @@ def _vector_shard(
             t.orbit_rep(fixed)[mine], return_inverse=True, return_counts=True)
         # hit_at[c, e, r]: class r had a hit for collectors[c] in entries[e]
         hit_at = np.zeros((len(collectors), len(entries), reps.size), dtype=bool)
-        for rows, j, lhs in tables(reps, keys):
+        for rows, j, lhs in t.size_tables(reps, keys, chunk_rows):
             ar = reps[rows]
             for e in work[keys[j]]:
                 members, kind, gamma, same, rhs = entries[e]
@@ -783,10 +761,18 @@ def _vector_shard(
                 key = _operator_s_gamma(kind, smasks[0], gamma)
                 real.setdefault(key, []).append((smasks, kind, gamma, same, rhs))
         wanted = list(real)
-        for rows, j, lhs in tables(amasks, wanted):
-            chunk = amasks[rows].tolist()  # Python ints: triple keys overflow int64 at order 20
+        for rows, j, lhs in t.size_tables(amasks, wanted, chunk_rows):
+            ar = amasks[rows]
+            chunk = ar.tolist()  # Python ints: triple keys overflow int64 at order 20
             for smasks, kind, gamma, same, rhs in real[wanted[j]]:
-                rows_hit, cols = _hits(cmp, lhs, rhs, amasks[rows], n, same)
+                # (chunk rows, B masks) of the hits; only B = A when ``same``
+                if same:
+                    rows_hit = np.flatnonzero(cmp(lhs[np.arange(ar.size), ar], rhs[ar]))
+                    cols = ar[rows_hit]
+                else:
+                    cols = np.flatnonzero(cmp(lhs, rhs))  # far faster than a 2-d nonzero
+                    rows_hit = cols >> n
+                    cols &= (1 << n) - 1
                 if not rows_hit.size:
                     continue
                 if both:  # split the lhs <= rhs hits

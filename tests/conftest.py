@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import rsumlab as rl
-from rsumlab import _masks
+from rsumlab import _masks, bounds
 
 
 # -- independent oracles ---------------------------------------------------------
@@ -143,6 +143,19 @@ def as_set(group, elems):
 
 def set_of(eset):
     return set(eset.elements())
+
+
+# -- the library's size tables, for tests that check identities over them -------
+
+
+def size_rows(t, amasks, keys):
+    """sizes[j, r, B] = |A +_S B| at A = amasks[r] and (S, gamma) = keys[j], built by
+    ``MaskTables.size_tables`` at the kernel's chunk size."""
+    amasks = np.atleast_1d(np.asarray(amasks, dtype=np.int64))
+    out = np.empty((len(keys), amasks.size, 1 << t.n), dtype=np.int8)
+    for rows, j, sizes in t.size_tables(amasks, keys, bounds._chunk_rows(t.n)):
+        out[j, rows] = sizes
+    return out
 
 
 # -- fixtures --------------------------------------------------------------------

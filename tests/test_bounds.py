@@ -12,7 +12,7 @@ import rsumlab as rl
 from rsumlab import _masks, bounds
 from rsumlab.bounds import BoundKind
 from rsumlab.sets import plan_a_masks, plan_b_masks, plan_s_masks
-from conftest import o_add, o_elements, o_perm, o_scale, perm_mask_table, set_of
+from conftest import o_add, o_elements, o_perm, o_scale, perm_mask_table, set_of, size_rows
 
 
 def S(g, text):
@@ -579,18 +579,16 @@ class TestPruneFloor:
         s_masks = [smask for smask in range(1 << n) if smask.bit_count() <= 2]
         order = np.argsort(t.pops, kind="stable")  # B masks by size
         starts = np.searchsorted(t.pops[order], np.arange(n + 1))
+        amasks = np.arange(1, 1 << n)
         least = {op: np.full((n + 1, 3, n + 1), n + 1) for op in reads}  # [|A|, |S|, |B|]
-        for abits in range(1, 1 << n):
-            m = abits.bit_count()
-            for op, read in reads.items():
-                rows = [(smask.bit_count(), sg) for smask in s_masks for sg in read(smask)]
-                if not rows:
-                    continue
-                cmasks = np.stack([t.cmasks_general(abits, *sg) for _, sg in rows])
-                lhs = t.pops[_masks.union_table_batch(cmasks, n)][:, order]
-                by_size = np.minimum.reduceat(lhs, starts, axis=1)  # min over B of each size
-                for h, row in zip((h for h, _ in rows), by_size):
-                    np.minimum(least[op][m, h], row, out=least[op][m, h])
+        for op, read in reads.items():
+            rows = [(smask.bit_count(), sg) for smask in s_masks for sg in read(smask)]
+            if not rows:
+                continue
+            lhs = size_rows(t, amasks, [sg for _, sg in rows])[:, :, order]
+            by_size = np.minimum.reduceat(lhs, starts, axis=2)  # min over B of each size
+            for (h, _), row in zip(rows, by_size):
+                np.minimum.at(least[op], (t.pops[amasks], h), row)
         # twisted has no checks off Z_p
         kinds = [k for k in BoundKind if gammas or k.operator is not bounds.Operator.TWISTED]
         for kind in kinds:
@@ -673,9 +671,9 @@ class TestChunkBoundaries:
         sizes = []
         honest = _masks.MaskTables.cmasks_general
 
-        def recording(self, abits, sbits, gamma=1):
+        def recording(self, abits):
             sizes.extend(int(m).bit_count() for m in np.atleast_1d(abits))
-            return honest(self, abits, sbits, gamma)
+            return honest(self, abits)
 
         monkeypatch.setattr(_masks.MaskTables, "cmasks_general", recording)
         summary = rl.exhaustive_verify(plan, kinds, prune=True)
@@ -1048,8 +1046,7 @@ class TestTwistedCanonicalization:
             sizes = pops[amasks][:, None] * 8 + pops[bmasks][None, :]
             seen = set()
             for smask in plan_s_masks(plan):
-                cmasks = t.cmasks_general(amasks, smask, gamma)
-                lhs = pops[_masks.union_table_batch(cmasks, g.order)][:, bmasks]
+                lhs = size_rows(t, amasks, [(smask, gamma)])[0][:, bmasks]
                 seen |= set(np.unique((sizes * 8 + smask.bit_count()) * 8 + lhs).tolist())
             return seen
 

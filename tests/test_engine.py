@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import rsumlab as rl
 from rsumlab import _masks, bounds
 from conftest import (
-    o_add, o_index, o_map_bits, o_neg, o_perm, o_sub, oracle_sumset, perm_mask_table,
-    set_of, translate_perm,
+    o_add, o_elements, o_index, o_map_bits, o_neg, o_perm, o_sub, oracle_sumset,
+    perm_mask_table, set_of, size_rows, translate_perm,
 )
 
 
@@ -157,9 +157,10 @@ def test_batched_cmasks_match_per_mask_and_element_loop(name, sbits, gamma):
     t = _masks.tables_for(g)
     n = g.order
     amasks = [1, 0b1011, (1 << n) - 1, 0b0110010 & ((1 << n) - 1), 0]
-    batch = t.cmasks_general(np.array(amasks), sbits, gamma)
+    batch = t.cmasks_general(np.array(amasks)) & t.kept(sbits, gamma)
     assert batch.shape == (len(amasks), n)
-    assert np.array_equal(batch, np.stack([t.cmasks_general(a, sbits, gamma) for a in amasks]))
+    assert np.array_equal(batch, np.stack([t.cmasks_general(a) & t.kept(sbits, gamma)
+                                           for a in amasks]))
     # reference: C[b] = b + (A \ (gamma*b + S)), element by element
     for row, abits in zip(batch, amasks):
         for b in range(n):
@@ -168,6 +169,51 @@ def test_batched_cmasks_match_per_mask_and_element_loop(name, sbits, gamma):
             want = sum(1 << int(t.add[x, b]) for x in range(n)
                        if abits >> x & 1 and x not in excluded)
             assert int(row[b]) == want, (name, abits, b)
+
+
+@pytest.mark.parametrize("name", ["Z5", "Z6", "Z2xZ2", "Z7", "Z2xZ4"])
+def test_size_tables_match_oracle(name, monkeypatch):
+    # every (A, B), |S| <= 2, every gamma 1..p-1 on Z_p.  The oracle's pair
+    # loop makes A +_S B the union over b in B of A +_S {b}, so it is called
+    # once per (A, b) and the union is taken over B by the lowest set bit.
+    g = rl.parse_group(name)
+    t = _masks.tables_for(g)
+    n, f = g.order, g.factors
+    els = o_elements(f)
+    gammas = range(1, n) if g.is_prime_cyclic else (1,)
+    keys = [(s, gm) for s in range(1 << n) if s.bit_count() <= 2 for gm in gammas]
+    amasks = np.arange(1 << n)
+    members = [[els[x] for x in range(n) if m >> x & 1] for m in range(1 << n)]
+    want = np.empty((len(keys), 1 << n, 1 << n), dtype=np.int8)
+    for j, (sbits, gamma) in enumerate(keys):
+        single = np.array([[sum(1 << o_index(f, e) for e in oracle_sumset(
+            f, members[a], [els[b]], members[sbits], gamma)) for b in range(n)]
+            for a in range(1 << n)])
+        u = np.zeros((1 << n, 1 << n), dtype=np.int64)
+        for m in range(1, 1 << n):
+            u[:, m] = u[:, m & (m - 1)] | single[:, (m & -m).bit_length() - 1]
+        want[j] = np.bitwise_count(u)
+    build = _masks.size_table_batch
+    calls = []
+    monkeypatch.setattr(_masks, "size_table_batch",
+                        lambda cmasks, n: calls.append(len(cmasks)) or build(cmasks, n))
+    for chunk_rows in (1, 3, bounds._chunk_rows(n)):
+        calls.clear()
+        got = np.full_like(want, -1)
+        for rows, j, sizes in t.size_tables(amasks, keys, chunk_rows):
+            got[j, rows] = sizes
+        assert np.array_equal(got, want), (name, chunk_rows)
+        # each table row is built once, in batches of at most chunk_rows rows
+        assert sum(calls) == len(keys) * amasks.size and max(calls) <= chunk_rows
+        if chunk_rows <= 3:  # a chunk's keys span several batches
+            assert len(calls) > -(-amasks.size // chunk_rows)
+
+
+def test_kept_rows():
+    t = _masks.tables_for(rl.parse_group("Z2xZ4"))
+    with pytest.raises(ValueError, match="rank-1"):
+        t.kept(0b101, 3)
+    assert t.kept(0b101, 1) is t.kept(0b101, 1)
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), 14])
@@ -200,10 +246,6 @@ def test_size_table_batch_counts_union_table(n):
         assert sizes.dtype == np.int8 and np.array_equal(sizes, want), (n, k)
 
 
-def _size_table(t, abits, sbits, gamma=1):
-    return t.pops[_masks.union_table(t.cmasks_general(abits, sbits, gamma), t.n)]
-
-
 @pytest.mark.parametrize("name", [
     "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z7", "Z8", "Z2xZ4", "Z2xZ2xZ2",
     "Z9", "Z3xZ3", "Z10", "Z11", "Z12", "Z2xZ6",
@@ -224,8 +266,7 @@ def test_duality_exhaustive_orders_up_to_12(name):
     neg_rows = np.array([s_pos[o_map_bits(m, neg_perm)] for m in s_masks])
 
     def batch_tables(abits):
-        c = np.stack([t.cmasks_general(abits, sbits) for sbits in s_masks])
-        return t.pops[_masks.union_table_batch(c, n)]
+        return size_rows(t, abits, [(sbits, 1) for sbits in s_masks])[:, 0]
 
     for abits in range(1, 1 << n):
         neg_abits = o_map_bits(abits, neg_perm)
@@ -287,12 +328,12 @@ def test_translation_invariance_exhaustive_order_up_to_8(name):
         pairs = [(gi, hi) for gi in range(n) for hi in range(n)]
     for abits in range(1, 1 << n):
         for sbits in s_masks:
-            base = _masks.union_table(t.cmasks_general(abits, sbits), n)
+            base = _masks.union_table(t.cmasks_general(abits) & t.kept(sbits), n)
             for gi, hi in pairs:
                 ga = o_map_bits(abits, tr_perms[gi])
                 shift = o_index(f, o_sub(f, els[gi], els[hi]))
                 ss = o_map_bits(sbits, tr_perms[shift])
-                shifted = _masks.union_table(t.cmasks_general(ga, ss), n)
+                shifted = _masks.union_table(t.cmasks_general(ga) & t.kept(ss), n)
                 ghsum = o_index(f, o_add(f, els[gi], els[hi]))
                 assert np.array_equal(
                     shifted[tr_tables[hi]], tr_tables[ghsum][base]
@@ -344,6 +385,6 @@ def test_unit_scaling_equivariance(n):
             ua = int(scale_table[abits])
             for sbits in s_masks:
                 us = int(scale_table[sbits])
-                base = _size_table(t, abits, sbits)
-                scaled = _size_table(t, ua, us)
+                base = size_rows(t, abits, [(sbits, 1)])[0, 0]
+                scaled = size_rows(t, ua, [(us, 1)])[0, 0]
                 assert np.array_equal(base, scaled[scale_table]), (n, u, abits, sbits)

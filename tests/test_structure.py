@@ -125,7 +125,7 @@ def test_kneser_and_extended_cauchy_davenport_exhaustive(name):
     sizes = t.pops.astype(np.int64)
     p = g.least_prime
     for abits in range(1, 1 << n):
-        u = _masks.union_table(t.cmasks_general(abits, 0), n)[1:]  # skip empty B
+        u = _masks.union_table(t.cmasks_general(abits), n)[1:]  # skip empty B
         card = sizes[u]
         bsizes = sizes[1:1 << n]
         m = int(sizes[abits])
