@@ -16,8 +16,9 @@ translate of A or of S, and a unit multiple u(A, B, S), have the same hit
 counts.  The same pass over each |A| harvests witness rows, real triples,
 from its first A masks with hits.
 A scalar fallback walks the triple stream one triple at a time,
-evaluating each operator once per triple by the engine's pair loop, and is
-kept bit-for-bit consistent with the vectorized path (tests compare the two).
+evaluating every operator of a triple in one engine ``pair_sums`` call over
+the translates b + A, and is kept bit-for-bit consistent with the vectorized
+path (tests compare the two).
 
 The kernel deals whole |A| sizes to shards and the scalar path deals A
 masks by stream position.  Merging is order-independent:
@@ -44,6 +45,7 @@ import numpy as np
 from . import _masks
 from .engine import (
     generalized_restricted_sumset,
+    pair_sums,
     restricted_sumset,
     sumset,
     twisted_restricted_sumset,
@@ -551,11 +553,13 @@ def _scalar_shard(
     The plan is built once per (|A|, |S|), the kernel's size class, and the
     rhs of its checks once per |B| that a triple of the class has, so the
     work per class does not grow with |G|.  A check whose rhs is -1 at the
-    triple's |B| is skipped.  The checks share one lhs per (S, gamma) that
-    ``_operator_s_gamma`` gives, computed by the engine's pair loop, not by
-    mask tables, so this path is the reference for the kernel's.
+    triple's |B|, or that needs B = A when B differs, is skipped.  The live
+    checks share one lhs per (S, gamma) that ``_operator_s_gamma`` gives, all
+    computed by one engine ``pair_sums`` call over the translates b + A, not
+    by mask tables, so this path is the reference for the kernel's.
     """
-    n = plan.group.order
+    g = plan.group
+    n = g.order
     res = _ShardResult(_TopK(cfg.max_witnesses), _TopK(cfg.max_witnesses))
     classes: dict[tuple[int, int], tuple] = {}  # (|A|, |S|) -> check plan, rhs by |B|
     for a, b, s in enumerate_triples(plan, shard_index, shard_count):
@@ -567,13 +571,17 @@ def _scalar_shard(
         if b.size not in rhs_by_b:
             rhs_by_b[b.size] = [_check_rhs(plan, cfg, kind, gamma, *sizes, [b.size])[0]
                                 for kind, gamma, _ in checks]
-        lhs_by_rule: dict[tuple[int, int], int] = {}  # the operator's (S, gamma) -> lhs
-        for (kind, gamma, same), rhs in zip(checks, rhs_by_b[b.size]):
-            if rhs < 0 or (same and a.bits != b.bits):
-                continue
-            rule = _operator_s_gamma(kind, s.bits, gamma)
-            if rule not in lhs_by_rule:
-                lhs_by_rule[rule] = operator_lhs(kind, a, b, s, gamma)
+        live = [
+            (kind, gamma, rhs, _operator_s_gamma(kind, s.bits, gamma))
+            for (kind, gamma, same), rhs in zip(checks, rhs_by_b[b.size])
+            if rhs >= 0 and not (same and a.bits != b.bits)
+        ]
+        if not live:
+            continue
+        rules = list(dict.fromkeys(rule for *_, rule in live))
+        sums = pair_sums(g, a.bits, b.bits, rules)
+        lhs_by_rule = {rule: bits.bit_count() for rule, bits in zip(rules, sums)}
+        for kind, gamma, rhs, rule in live:
             lhs = lhs_by_rule[rule]
             if (lhs < rhs and cfg.collect_violations) or (lhs == rhs and cfg.collect_tight):
                 collector = res.violations if lhs < rhs else res.tight

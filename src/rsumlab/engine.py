@@ -1,8 +1,9 @@
-"""The four sumset operators, computed by brute force over element pairs.
+"""The four sumset operators, computed from the translates b + A.
 
-All operators return a fresh ElementSet; inputs are never mutated.  Pair
-enumeration is O(|A|*|B|) with bitmap accumulation, which beats anything
-cleverer at the group orders this library targets.
+All operators return a fresh ElementSet; inputs are never mutated.  Each
+element b of B contributes its translate b + A less (1+gamma)b + S, so one
+operator costs |B| whole-bitmap translates for b + A and |B| more for the
+excluded translates of a non-empty S, whatever |A| is.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def generalized_restricted_sumset(a: ElementSet, b: ElementSet, s: ElementSet) -
     g = _require_same_group(a, b, s)
     _require_nonempty(a, "A")
     _require_nonempty(b, "B")
-    return ElementSet(g, _pair_sums(g, a, b, s.bits, 1))
+    return ElementSet(g, pair_sums(g, a.bits, b.bits, [(s.bits, 1)])[0])
 
 
 def twisted_restricted_sumset(
@@ -50,28 +51,32 @@ def twisted_restricted_sumset(
         raise GroupError(f"twisted sumset needs a prime cyclic group, got {g}")
     if gamma % g.order == 0:
         raise ValueError("gamma must be non-zero modulo p")
-    return ElementSet(g, _pair_sums(g, a, b, s.bits, gamma))
+    return ElementSet(g, pair_sums(g, a.bits, b.bits, [(s.bits, gamma)])[0])
 
 
-def _pair_sums(g: GroupSpec, a: ElementSet, b: ElementSet, sbits: int, gamma: int) -> int:
-    """Bitmap of {a + b : a - gamma*b not in S}, by index-table lookups.
+def pair_sums(g: GroupSpec, abits: int, bbits: int, rules) -> list[int]:
+    """Bitmaps of {a + b : a - gamma*b not in S}, one per (S mask, gamma) rule.
 
-    Row b of the add table gives every a + b, and the row of -gamma*b every
-    a - gamma*b, so each pair costs two list reads.
+    a + b is excluded exactly when it lies in (1+gamma)b + S, so b adds its
+    translate b + A less that translate of S.  The translates b + A are
+    built once and shared by every rule.
     """
     t = index_table(g)
-    add = t.add
-    twist = t.scaled(-gamma)
-    a_idx = list(a.indices())
-    out = 0
-    for j in b.indices():
-        row = add[j]
+    translates = []
+    while bbits:
+        low = bbits & -bbits
+        j = low.bit_length() - 1
+        translates.append((j, t.translate(abits, j)))
+        bbits ^= low
+    out = []
+    for sbits, gamma in rules:
+        acc = 0
         if sbits:
-            diff = add[twist[j]]
-            for i in a_idx:
-                if not sbits >> diff[i] & 1:
-                    out |= 1 << row[i]
+            shift = t.scaled(1 + gamma)
+            for j, moved in translates:
+                acc |= moved & ~t.translate(sbits, shift[j])
         else:
-            for i in a_idx:
-                out |= 1 << row[i]
+            for _, moved in translates:
+                acc |= moved
+        out.append(acc)
     return out

@@ -218,25 +218,59 @@ class _DigitRows:
         return _DigitRow(self.factors, 1, j)
 
 
+def _below(pattern: int, m: int, w: int, d: int) -> int:
+    """Mask of the elements whose digit of modulus m and weight w is below m - d."""
+    return (pattern << (m - d) * w) - pattern
+
+
 class IndexTable:
     """The group law on element indices: every sum, negation and multiple.
 
     ``add[j][i]`` is the index of e_i + e_j, ``neg[i]`` that of -e_i and
     ``scaled(u)[i]`` that of u*e_i.  Up to INDEX_TABLE_LIMIT elements they are
     lists, filled by vectorised mixed-radix arithmetic; above it they are
-    rows that compute each index from its digits when read.  Get one with
-    :func:`index_table`, which caches it per group.
+    rows that compute each index from its digits when read.
+    ``translate(bits, j)`` moves a whole bitmap by e_j, one bit rotation per
+    factor digit of j; the digit masks it reads are stored lists up to the
+    same limit and computed per call above it, so a group of order 2**20
+    holds no table of 2**20 masks.  Get one with :func:`index_table`, which
+    caches it per group.
     """
 
     def __init__(self, group: GroupSpec):
         self.factors = group.factors
         self.order = group.order
         self._scaled: dict[int, object] = {}
-        self.add = (
-            self.add_array().tolist() if self.order <= INDEX_TABLE_LIMIT
-            else _DigitRows(self.factors)
-        )
+        stored = self.order <= INDEX_TABLE_LIMIT
+        self.add = self.add_array().tolist() if stored else _DigitRows(self.factors)
         self.neg = self.scaled(-1)
+        # per factor, least significant first: (modulus m, weight w, pattern,
+        # masks), pattern holding bit 0 of each block of m*w bits and, when
+        # stored, masks[d] = _below(pattern, m, w, d)
+        self._digits = []
+        weight = 1
+        for m in reversed(self.factors):
+            pattern, span = 1, m * weight
+            while span < self.order:
+                pattern |= pattern << span
+                span <<= 1
+            pattern &= (1 << self.order) - 1
+            masks = [_below(pattern, m, weight, d) for d in range(m)] if stored else None
+            self._digits.append((m, weight, pattern, masks))
+            weight *= m
+
+    def translate(self, bits: int, j: int) -> int:
+        """Bitmap of {x + e_j : x in bits}.
+
+        Per factor digit d of j, the elements whose digit is below m - d move
+        up by d*w and the others down by (m - d)*w.
+        """
+        for m, w, pattern, masks in self._digits:
+            j, d = divmod(j, m)
+            if d:
+                low = bits & (masks[d] if masks is not None else _below(pattern, m, w, d))
+                bits = low << d * w | (bits ^ low) >> (m - d) * w
+        return bits
 
     def add_array(self) -> np.ndarray:
         """The ``add`` table as an int64 ``(order, order)`` array."""
@@ -264,7 +298,7 @@ def index_table(group: GroupSpec) -> IndexTable:
 
 
 def map_bits(bits: int, row) -> int:
-    """Bitmap of {row[i] : i in bits}, e.g. a translate when row is an add row."""
+    """Bitmap of {row[i] : i in bits}, e.g. a multiple when row is a scaled row."""
     out = 0
     while bits:
         low = bits & -bits

@@ -29,7 +29,7 @@ class GroupMismatchError(ValueError):
 def _require_same_group(*sets: "ElementSet") -> GroupSpec:
     g = sets[0].group
     for s in sets[1:]:
-        if s.group != g:
+        if s.group is not g and s.group != g:
             raise GroupMismatchError(f"sets live in different groups: {g} vs {s.group}")
     return g
 
@@ -147,7 +147,7 @@ class ElementSet:
     def translate(self, g: Element) -> "ElementSet":
         """The set {x + g : x in self}."""
         grp = self.group
-        return ElementSet(grp, map_bits(self.bits, index_table(grp).add[grp.element_index(g)]))
+        return ElementSet(grp, index_table(grp).translate(self.bits, grp.element_index(g)))
 
     def negate(self) -> "ElementSet":
         """The set {-x : x in self}."""
@@ -351,10 +351,13 @@ def _sampled_triples(plan: EnumerationPlan, shard_index: int, shard_count: int):
     def draw(rng, size: int, pin_zero: bool) -> ElementSet:
         """A set of ``size`` distinct indices; a pinned one is 0 plus size - 1 others."""
         if pin_zero and size:
-            idx = [0, *(rng.choice(n - 1, size=size - 1, replace=False) + 1)]
+            idx = [0, *(rng.choice(n - 1, size=size - 1, replace=False) + 1).tolist()]
         else:
-            idx = rng.choice(n, size=size, replace=False)
-        return ElementSet.from_indices(g, (int(i) for i in idx))
+            idx = rng.choice(n, size=size, replace=False).tolist()
+        bits = 0
+        for i in idx:
+            bits |= 1 << i
+        return ElementSet(g, bits)
 
     for t in range(plan.sample_count):
         if t % shard_count != shard_index:

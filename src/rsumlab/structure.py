@@ -20,7 +20,7 @@ from functools import lru_cache
 # generalized_restricted_sumset is unused here but kept as a module attribute:
 # the benchmark tracer (perfbench/tracer.py) wraps structure's sumset names
 from .engine import generalized_restricted_sumset, sumset  # noqa: F401
-from .groups import Element, GroupSpec, index_table, map_bits
+from .groups import Element, GroupSpec, index_table
 from .sets import ElementSet, _require_same_group
 from .subgroups import Subgroup, prime_order_subgroups
 
@@ -67,8 +67,8 @@ def coset_decompose(x: ElementSet, h: Subgroup) -> CosetDecomposition:
     found: list[tuple[int, int, int]] = []  # (-fiber size, rep index, fiber bits)
     while remaining:
         rep = (remaining & -remaining).bit_length() - 1
-        hit = remaining & map_bits(h.members.bits, t.add[rep])
-        found.append((-hit.bit_count(), rep, map_bits(hit, t.add[t.neg[rep]])))
+        hit = remaining & t.translate(h.members.bits, rep)
+        found.append((-hit.bit_count(), rep, t.translate(hit, t.neg[rep])))
         remaining &= ~hit
     found.sort()
     parts = tuple((g.index_element(rep), ElementSet(g, fiber)) for _, rep, fiber in found)
@@ -80,10 +80,10 @@ def stabilizer(x: ElementSet) -> Subgroup:
     g = x.group
     if not x.bits:
         raise ValueError("stabilizer of the empty set is undefined here")
-    add = index_table(g).add
+    t = index_table(g)
     bits = 0
     for i in range(g.order):
-        if map_bits(x.bits, add[i]) == x.bits:
+        if t.translate(x.bits, i) == x.bits:
             bits |= 1 << i
     members = ElementSet(g, bits)
     return Subgroup(group=g, members=members, order=members.size)
@@ -337,10 +337,10 @@ def _progression_differences_cached(g: GroupSpec, bits: int) -> tuple[int, ...]:
     # X \ (X + q), are one run that does not close (|X| < ord(q)) or none,
     # so that X is one whole <q>-coset (|X| = ord(q))
     k = bits.bit_count()
-    add = index_table(g).add
+    t = index_table(g)
     out = []
     for qi in range(1, g.order):
-        runs = (bits & ~map_bits(bits, add[qi])).bit_count()
+        runs = (bits & ~t.translate(bits, qi)).bit_count()
         if runs <= 1:
             o = g.element_order(g.index_element(qi))
             if k <= o and runs == (k < o):
@@ -380,8 +380,8 @@ def classify_critical_pair(a: ElementSet, b: ElementSet) -> list[StructureClass]
     # A and B lie in cosets of K exactly when A - a0 and B - b0 lie in K
     t = index_table(g)
     a0, b0 = a.min_index(), b.min_index()
-    a_base = map_bits(a.bits, t.add[t.neg[a0]])
-    b_base = map_bits(b.bits, t.add[t.neg[b0]])
+    a_base = t.translate(a.bits, t.neg[a0])
+    b_base = t.translate(b.bits, t.neg[b0])
     for k in _prime_order_subgroups_cached(g):
         if k.order != g.least_prime:
             continue
@@ -391,8 +391,8 @@ def classify_critical_pair(a: ElementSet, b: ElementSet) -> list[StructureClass]
         classes.append(
             CosetPair(
                 subgroup=k,
-                a_offset=g.index_element(ElementSet(g, map_bits(kbits, t.add[a0])).min_index()),
-                b_offset=g.index_element(ElementSet(g, map_bits(kbits, t.add[b0])).min_index()),
+                a_offset=g.index_element(ElementSet(g, t.translate(kbits, a0)).min_index()),
+                b_offset=g.index_element(ElementSet(g, t.translate(kbits, b0)).min_index()),
             )
         )
     if not classes:
@@ -438,5 +438,5 @@ def fiber_spread_check(a: ElementSet, k1: Subgroup, k2: Subgroup) -> FiberSpread
 
 
 def _coset_count(a: ElementSet, k: Subgroup) -> int:
-    add = index_table(a.group).add
-    return len({map_bits(k.members.bits, add[i]) for i in a.indices()})
+    t = index_table(a.group)
+    return len({t.translate(k.members.bits, i) for i in a.indices()})

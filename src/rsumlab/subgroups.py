@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import Element, GroupError, GroupSpec, index_table, is_prime, map_bits
+from .groups import Element, GroupError, GroupSpec, index_table, is_prime
 from .sets import ElementSet
 
 SUBGROUP_ENUM_CEILING = 64
@@ -49,8 +49,8 @@ def is_subgroup_set(s: ElementSet) -> bool:
     """
     if not s.contains_index(0):
         return False
-    add = index_table(s.group).add
-    return all(map_bits(s.bits, add[i]) == s.bits for i in s.indices())
+    t = index_table(s.group)
+    return all(t.translate(s.bits, i) == s.bits for i in s.indices())
 
 
 def _cyclic_bits(row) -> int:
@@ -74,22 +74,22 @@ def all_subgroups(g: GroupSpec, max_order: int = SUBGROUP_ENUM_CEILING) -> list[
         raise GroupError(
             f"subgroup enumeration ceiling is {max_order}; group has order {g.order}"
         )
-    add = index_table(g).add
-    cyclics: dict[int, list[int]] = {}  # cyclic subgroup bits -> its add rows
+    t = index_table(g)
+    cyclics: dict[int, list[int]] = {}  # cyclic subgroup bits -> its member indices
     for xi in range(1, g.order):
-        cbits = _cyclic_bits(add[xi])
+        cbits = _cyclic_bits(t.add[xi])
         if cbits not in cyclics:
-            cyclics[cbits] = [add[yi] for yi in ElementSet(g, cbits).indices()]
+            cyclics[cbits] = list(ElementSet(g, cbits).indices())
     known: set[int] = {1}
     frontier = [1]
     while frontier:
         h = frontier.pop()
-        for cbits, rows in cyclics.items():
+        for cbits, members in cyclics.items():
             if cbits & ~h == 0:
                 continue
             joined = h
-            for row in rows:
-                joined |= map_bits(h, row)
+            for yi in members:
+                joined |= t.translate(h, yi)
             if joined not in known:
                 known.add(joined)
                 frontier.append(joined)

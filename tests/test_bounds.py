@@ -11,6 +11,7 @@ import pytest
 import rsumlab as rl
 from rsumlab import _masks, bounds
 from rsumlab.bounds import BoundKind
+from rsumlab.groups import IndexTable
 from rsumlab.sets import plan_a_masks, plan_b_masks, plan_s_masks
 from conftest import o_add, o_elements, o_perm, o_scale, perm_mask_table, set_of, size_rows
 
@@ -290,16 +291,16 @@ class TestExhaustiveVerify:
         self, monkeypatch, name, per_triple
     ):
         calls = []
-        operator_lhs = bounds.operator_lhs
+        pair_sums = bounds.pair_sums
 
-        def counting(*args):
-            calls.append(args)
-            return operator_lhs(*args)
+        def counting(g, abits, bbits, rules):
+            calls.append(list(rules))
+            return pair_sums(g, abits, bbits, rules)
 
         def check_triple(*args):
             raise AssertionError("the scalar sweep must not check one (kind, gamma) at a time")
 
-        monkeypatch.setattr(bounds, "operator_lhs", counting)
+        monkeypatch.setattr(bounds, "pair_sums", counting)
         monkeypatch.setattr(bounds, "check_triple", check_triple)
         g = rl.parse_group(name)
         plan = rl.EnumerationPlan(
@@ -307,7 +308,39 @@ class TestExhaustiveVerify:
         )
         summary = rl.exhaustive_verify(plan, bounds.ALL_KINDS, gammas=(2, 3))
         assert summary.triples_checked == 200
-        assert 0 < len(calls) <= per_triple * summary.triples_checked
+        # every triple has a live kneser check, so each makes exactly one call
+        assert len(calls) == summary.triples_checked
+        assert all(0 < len(set(rules)) == len(rules) <= per_triple for rules in calls)
+
+    def test_scalar_path_translates_per_b_and_rule_not_per_pair(self, monkeypatch):
+        # above order 20 only the scalar path runs; its work per triple must
+        # not grow with |A| or |G|: |B| translates b + A, and |B| more per rule
+        # whose S is non-empty
+        translate = IndexTable.translate
+        counts = []
+
+        def counting_translate(self, bits, j):
+            counts[-1] += 1
+            return translate(self, bits, j)
+
+        pair_sums = bounds.pair_sums
+        calls = []
+
+        def counting(g, abits, bbits, rules):
+            counts.append(0)
+            out = pair_sums(g, abits, bbits, rules)
+            calls.append((bbits.bit_count(), sum(1 for sbits, _ in rules if sbits)))
+            return out
+
+        monkeypatch.setattr(IndexTable, "translate", counting_translate)
+        monkeypatch.setattr(bounds, "pair_sums", counting)
+        g = rl.parse_group("Z1009")
+        plan = rl.EnumerationPlan(group=g, mode="sampled", sample_count=60, seed=3,
+                                  a_max=12, b_max=6, s_min=0, s_max=3)
+        summary = rl.exhaustive_verify(plan, bounds.ALL_KINDS, gammas=(2, 3))
+        assert len(calls) == summary.triples_checked == 60
+        for made, (b_size, s_rules) in zip(counts, calls):
+            assert made <= b_size * (1 + s_rules)
 
     def test_scalar_and_vector_agree_canonicalized(self):
         g = rl.parse_group("Z6")

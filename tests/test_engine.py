@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rsumlab as rl
-from rsumlab import _masks, bounds
+from rsumlab import _masks, bounds, engine
 from conftest import (
     o_add, o_elements, o_index, o_map_bits, o_neg, o_perm, o_sub, oracle_sumset,
     perm_mask_table, set_of, size_rows, translate_perm,
@@ -88,14 +88,14 @@ class TestGeneralizedRestricted:
         with pytest.raises(rl.GroupMismatchError):
             rl.generalized_restricted_sumset(S(g5, "{0}"), S(g6, "{0}"), rl.ElementSet.empty(g5))
 
-    @pytest.mark.parametrize("name", ["Z7", "Z2xZ4", "Z3xZ3"])
+    @pytest.mark.parametrize("name", ["Z7", "Z2xZ4", "Z3xZ3", "Z2xZ3xZ5", "Z521"])
     def test_matches_oracle_on_random_triples(self, name):
         g = rl.parse_group(name)
         rng = np.random.default_rng(2)
         for _ in range(200):
-            bits = rng.integers(1, 1 << g.order, size=3)
-            a, b = rl.ElementSet(g, int(bits[0])), rl.ElementSet(g, int(bits[1]))
-            s = rl.ElementSet(g, int(bits[2]) & (int(bits[0]) ^ int(bits[1])))
+            abits, bbits, sbits = _random_bits(rng, g.order, 3)
+            a, b = rl.ElementSet(g, abits), rl.ElementSet(g, bbits)
+            s = rl.ElementSet(g, sbits & (abits ^ bbits))
             want = oracle_sumset(g.factors, list(a), list(b), list(s))
             assert set_of(rl.generalized_restricted_sumset(a, b, s)) == want
 
@@ -135,14 +135,40 @@ class TestTwisted:
             rl.twisted_restricted_sumset(S(g, "{0}"), S(g, "{0}"), S(g, "{0}"), 5)
 
     def test_matches_oracle(self):
-        g = rl.parse_group("Z7")
+        # every gamma in 1..p-1, so a wrong multiple (1+gamma)b shows
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            bits = rng.integers(1, 128, size=3)
-            gamma = int(rng.integers(1, 7))
-            a, b, s = (rl.ElementSet(g, int(x)) for x in bits)
-            want = oracle_sumset(g.factors, list(a), list(b), list(s), gamma=gamma)
-            assert set_of(rl.twisted_restricted_sumset(a, b, s, gamma)) == want
+        for g in map(rl.parse_group, ("Z7", "Z11", "Z13")):
+            p = g.order
+            for gamma in range(1, p):
+                for _ in range(40):
+                    a, b, s = (rl.ElementSet(g, x) for x in _random_bits(rng, p, 3))
+                    want = oracle_sumset(g.factors, list(a), list(b), list(s), gamma=gamma)
+                    assert set_of(rl.twisted_restricted_sumset(a, b, s, gamma)) == want, gamma
+
+
+@pytest.mark.parametrize("name", ["Z13", "Z2xZ6", "Z521"])
+def test_one_multi_rule_call_equals_single_rule_calls(name):
+    # the scalar sweep asks for every (S, gamma) rule of a triple at once,
+    # sharing the translates b + A between them
+    g = rl.parse_group(name)
+    rng = np.random.default_rng(4)
+    gammas = (1, 2, 3, g.order - 1) if g.is_prime_cyclic else (1,)
+    for _ in range(50):
+        abits, bbits, sbits = _random_bits(rng, g.order, 3)
+        rules = [(0, 1), (1, 1)] + [(sbits, gamma) for gamma in gammas]
+        got = engine.pair_sums(g, abits, bbits, rules)
+        assert got == [engine.pair_sums(g, abits, bbits, [rule])[0] for rule in rules]
+        a, b, s = (rl.ElementSet(g, x) for x in (abits, bbits, sbits))
+        assert got[:3] == [rl.sumset(a, b).bits, rl.restricted_sumset(a, b).bits,
+                           rl.generalized_restricted_sumset(a, b, s).bits]
+
+
+def _random_bits(rng, n: int, count: int) -> list[int]:
+    """``count`` random non-empty bitmaps of n bits; above 62 bits, of at most 12 elements."""
+    if n < 63:
+        return [int(x) for x in rng.integers(1, 1 << n, size=count)]
+    sizes = rng.integers(1, 13, size=count).tolist()
+    return [sum(1 << i for i in rng.choice(n, k, replace=False).tolist()) for k in sizes]
 
 
 # -- algebraic invariants, exhaustive at small orders ---------------------------

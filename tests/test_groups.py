@@ -196,6 +196,37 @@ def test_index_table_matches_tuple_arithmetic(name):
         assert rl.is_subgroup_set(xs) == oracle_is_subgroup(f, x)
 
 
+@pytest.mark.parametrize("name", [
+    "Z2", "Z12", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2", "Z2xZ3xZ5", "Z521", "Z2xZ263",
+])
+def test_translate_matches_tuple_arithmetic(name):
+    # the last two lie above the table limit, where the digit masks are
+    # computed per call instead of stored
+    g = rl.parse_group(name)
+    f = g.factors
+    els = o_elements(f)
+    t = index_table(g)
+    rng = np.random.default_rng(g.order)
+    small = g.order <= INDEX_TABLE_LIMIT
+    for j in range(g.order) if small else rng.choice(g.order, 40, replace=False).tolist():
+        for _ in range(8 if small else 2):
+            x = rng.choice(g.order, int(rng.integers(0, g.order + 1)), replace=False).tolist()
+            bits = sum(1 << i for i in x)
+            want = sum(1 << o_index(f, o_add(f, els[i], els[j])) for i in x)
+            assert t.translate(bits, j) == want, (j, x)
+
+
+def test_translate_at_the_default_max_order():
+    g = rl.parse_group("Z2xZ524288")
+    assert g.order == rl.DEFAULT_MAX_ORDER
+    x = [(0, 0), (0, 524287), (1, 5), (1, 524286)]
+    shift = (1, 3)
+    f = g.factors
+    bits = sum(1 << o_index(f, e) for e in x)
+    want = sum(1 << o_index(f, o_add(f, e, shift)) for e in x)
+    assert index_table(g).translate(bits, o_index(f, shift)) == want
+
+
 def _multiples(f, q):
     out = [tuple(0 for _ in f)]
     while (nxt := o_add(f, out[-1], q)) != out[0]:
