@@ -952,9 +952,10 @@ def exhaustive_verify(
     exactly, suppresses tight collection, and leaves out of ``triples_checked``
     the triples of classes it skips for every kind.  ``on_planned``, when
     given, is called with the planned check count once ``_planned_checks``
-    has accepted the sweep, before any shard runs.
+    has accepted the sweep, before any shard runs.  A kind listed twice is
+    checked once, at its first place.
     """
-    kinds = tuple(kinds)
+    kinds = tuple(dict.fromkeys(kinds))
     if not kinds:
         raise ValueError("at least one bound kind required")
     gammas = _normalize_gammas(plan, kinds, gammas)

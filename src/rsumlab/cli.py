@@ -1,6 +1,12 @@
 """Command-line front end: sumset evaluation, bound sweeps, and the
 constructive subcommands (decompose, classify, sdr, stabilizer).
 
+Each subcommand builds its result once, as a JSON document, its CSV lines
+(header first) and its text lines; ``main`` writes the one that --format
+names.  ``verify`` and ``search`` read their sweep flags through one request,
+``_sweep_request``, which checks them in one order and returns the plan and
+the sweep arguments both commands pass on.
+
 All data goes to stdout (or --out); diagnostics go to stderr.  Exit codes:
 0 success / zero violations, 1 violations or a failed guaranteed
 construction, 2 usage or parse errors.
@@ -177,23 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-class _Output:
-    def __init__(self, path: str | None):
-        self.path = path
-        self.chunks: list[str] = []
-
-    def write(self, text: str) -> None:
-        self.chunks.append(text)
-
-    def flush(self) -> None:
-        data = "".join(self.chunks)
-        if self.path:
-            with open(self.path, "w") as fh:
-                fh.write(data)
-        else:
-            sys.stdout.write(data)
-
-
 def _threads(args) -> int:
     """--threads, else RSUMLAB_THREADS, else 1; the sweep rejects values < 1."""
     if args.threads is not None:
@@ -203,7 +192,7 @@ def _threads(args) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise GroupError(f"bad RSUMLAB_THREADS value {env!r}") from exc
+            raise ValueError(f"bad RSUMLAB_THREADS value {env!r}") from exc
     return 1
 
 
@@ -219,7 +208,7 @@ def _parse_kinds(names: list[str], group) -> list[BoundKind]:
             kinds.extend(k for k in ALL_KINDS if twists or k is not BoundKind.TWISTED_PAN_SUN)
         else:
             kinds.append(kind_from_name(name))
-    return list(dict.fromkeys(kinds))
+    return kinds
 
 
 def _parse_gammas(raw, group) -> list[int] | None:
@@ -279,35 +268,43 @@ def _build_plan(args, group, kinds) -> EnumerationPlan:
     )
 
 
-def _emit_summary(summary, args, out: _Output) -> None:
-    include_timing = not args.no_timing
-    if args.format == "json":
-        out.write(summary.to_json(include_timing=include_timing) + "\n")
-    elif args.format == "csv":
-        out.write(summary.to_csv())
-    else:
-        d = summary.to_json_dict(include_timing=include_timing)
-        out.write(
-            f"group={d['group']} kinds={','.join(d['kinds'])} "
-            f"triples={d['triples_checked']} checks={d['checks_planned']} "
-            f"violations={d['violation_count']} tight={d['tight_count']} "
-            f"elapsed_ms={d['elapsed_ms']}\n"
-        )
-        for row in d["violations"]:
-            out.write(_row_line("VIOLATION", row))
-        for row in d["tight"]:
-            out.write(_row_line("TIGHT", row))
+def _sweep_request(args, group, kinds) -> tuple[EnumerationPlan, dict]:
+    """The plan, and the sweep arguments that verify and search share.
+
+    The flags are checked in a fixed order, so the first error reported does
+    not depend on the command.  The triple estimate goes to stderr once the
+    sweep has accepted the plan, so a refused sweep prints none.
+    """
+    _require_twist_checks(args, group, kinds)
+    plan = _build_plan(args, group, kinds)
+    gammas = _parse_gammas(args.gamma, group)
+    threads = _threads(args)
+    return plan, {
+        "gammas": gammas,
+        "max_witnesses": args.max_witnesses,
+        "work_ceiling": args.work_ceiling,
+        "threads": threads,
+        "shard_count": threads if args.shards is None else args.shards,
+        "on_planned": lambda checks: print(
+            f"estimated triples: {plan.count_triples()}", file=sys.stderr),
+    }
 
 
-def _row_line(tag: str, row: dict) -> str:
-    gamma = "-" if row["gamma"] is None else str(row["gamma"])
-    return (
-        f"{tag} kind={row['kind']} A={row['A']} B={row['B']} S={row['S']} "
-        f"gamma={gamma} lhs={row['lhs']} rhs={row['rhs']}\n"
-    )
+def _witnesses(group, head: str, *tagged) -> tuple[list[str], list[str]]:
+    """The CSV and text lines of a sweep: ``head``, then one line per row of each (tag, rows)."""
+    rows: list[dict] = []
+    text = [head]
+    for tag, tag_rows in tagged:
+        rows += tag_rows
+        text += [
+            f"{tag} kind={r['kind']} A={r['A']} B={r['B']} S={r['S']} "
+            f"gamma={'-' if r['gamma'] is None else r['gamma']} lhs={r['lhs']} rhs={r['rhs']}"
+            for r in tag_rows
+        ]
+    return witness_csv(group, rows).splitlines(), text
 
 
-def _cmd_sumset(args, out: _Output) -> int:
+def _cmd_sumset(args):
     group = parse_group(args.group)
     a = parse_set(group, args.A)
     b = parse_set(group, args.B)
@@ -317,87 +314,45 @@ def _cmd_sumset(args, out: _Output) -> int:
     else:
         result = twisted_restricted_sumset(a, b, s, args.gamma)
     text = format_set(result)
-    if args.format == "json":
-        out.write(json.dumps(
-            {"group": format_group(group), "result": text, "size": result.size},
-            sort_keys=True) + "\n")
-    elif args.format == "csv":
-        out.write("group,A,B,S,gamma,result,size\n")
-        gamma = "" if args.gamma is None else str(args.gamma)
-        out.write(f'{format_group(group)},"{format_set(a)}","{format_set(b)}",'
-                  f'"{format_set(s)}",{gamma},"{text}",{result.size}\n')
-    else:
-        out.write(text + "\n")
-        out.write(f"size={result.size}\n")
-    return 0
+    gamma = "" if args.gamma is None else args.gamma
+    doc = {"group": format_group(group), "result": text, "size": result.size}
+    csv = ["group,A,B,S,gamma,result,size",
+           f'{doc["group"]},"{format_set(a)}","{format_set(b)}","{format_set(s)}",{gamma},'
+           f'"{text}",{result.size}']
+    return 0, doc, csv, [text, f"size={result.size}"]
 
 
-def _announce(plan):
-    """Print the plan's triple count once the sweep has accepted the plan."""
-    return lambda checks: print(f"estimated triples: {plan.count_triples()}", file=sys.stderr)
-
-
-def _cmd_verify(args, out: _Output) -> int:
+def _cmd_verify(args):
     group = parse_group(args.group)
     kinds = _parse_kinds(args.bound, group)
-    _require_twist_checks(args, group, kinds)
-    plan = _build_plan(args, group, kinds)
-    gammas = _parse_gammas(args.gamma, group)
-    threads = _threads(args)
+    plan, sweep = _sweep_request(args, group, kinds)
     summary = exhaustive_verify(
-        plan,
-        kinds,
-        gammas=gammas,
-        max_witnesses=args.max_witnesses,
-        work_ceiling=args.work_ceiling,
-        collect_tight=not args.no_tight,
-        prune=args.prune,
-        shard_count=threads if args.shards is None else args.shards,
-        threads=threads,
-        on_planned=_announce(plan),
+        plan, kinds, collect_tight=not args.no_tight, prune=args.prune, **sweep)
+    d = summary.to_json_dict(include_timing=not args.no_timing)
+    head = (
+        f"group={d['group']} kinds={','.join(d['kinds'])} "
+        f"triples={d['triples_checked']} checks={d['checks_planned']} "
+        f"violations={d['violation_count']} tight={d['tight_count']} "
+        f"elapsed_ms={d['elapsed_ms']}"
     )
-    _emit_summary(summary, args, out)
-    return 0 if summary.ok else 1
+    csv, text = _witnesses(group, head, ("VIOLATION", d["violations"]), ("TIGHT", d["tight"]))
+    return 0 if summary.ok else 1, d, csv, text
 
 
-def _cmd_search(args, out: _Output) -> int:
+def _cmd_search(args):
     group = parse_group(args.group)
     kind = kind_from_name(args.bound)
-    _require_twist_checks(args, group, [kind])
-    plan = _build_plan(args, group, [kind])
-    gammas = _parse_gammas(args.gamma, group)
-    threads = _threads(args)
-    reports = search_witnesses(
-        plan,
-        kind,
-        mode=args.mode,
-        gammas=gammas,
-        max_witnesses=args.max_witnesses,
-        work_ceiling=args.work_ceiling,
-        shard_count=threads if args.shards is None else args.shards,
-        threads=threads,
-        on_planned=_announce(plan),
-    )
-    rows = [r.to_row() for r in reports]
-    if args.format == "json":
-        out.write(json.dumps(
-            {"group": format_group(group), "kind": kind.value, "mode": args.mode,
-             "witnesses": rows},
-            sort_keys=True, indent=2) + "\n")
-    elif args.format == "csv":
-        out.write(witness_csv(group, rows))
-    else:
-        tag = "TIGHT" if args.mode == "tight" else "COUNTEREXAMPLE"
-        out.write(f"group={format_group(group)} kind={kind.value} mode={args.mode} "
-                  f"found={len(rows)}\n")
-        for row in rows:
-            out.write(_row_line(tag, row))
-    if args.mode == "counterexample" and rows:
-        return 1
-    return 0
+    plan, sweep = _sweep_request(args, group, [kind])
+    rows = [r.to_row() for r in search_witnesses(plan, kind, mode=args.mode, **sweep)]
+    doc = {"group": format_group(group), "kind": kind.value, "mode": args.mode,
+           "witnesses": rows}
+    head = f"group={doc['group']} kind={kind.value} mode={args.mode} found={len(rows)}"
+    counterexample = args.mode == "counterexample"
+    csv, text = _witnesses(group, head, ("COUNTEREXAMPLE" if counterexample else "TIGHT", rows))
+    return 1 if counterexample and rows else 0, doc, csv, text
 
 
-def _cmd_decompose(args, out: _Output) -> int:
+def _cmd_decompose(args):
     group = parse_group(args.group)
     x = parse_set(group, args.xset)
     h = Subgroup.from_set(parse_set(group, args.subgroup))
@@ -406,36 +361,20 @@ def _cmd_decompose(args, out: _Output) -> int:
         {"rep": format_element(group, rep), "fiber": format_set(fiber), "size": fiber.size}
         for rep, fiber in dec.parts
     ]
-    if args.format == "json":
-        out.write(json.dumps(
-            {"group": format_group(group), "subgroup": format_set(h.members),
-             "part_count": dec.part_count, "parts": parts}, sort_keys=True, indent=2) + "\n")
-    elif args.format == "csv":
-        out.write("rep,fiber,size\n")
-        for part in parts:
-            out.write(f'"{part["rep"]}","{part["fiber"]}",{part["size"]}\n')
-    else:
-        out.write(f"subgroup={format_set(h.members)} parts={dec.part_count}\n")
-        for part in parts:
-            out.write(f'part rep={part["rep"]} fiber={part["fiber"]}\n')
-    return 0
+    doc = {"group": format_group(group), "subgroup": format_set(h.members),
+           "part_count": dec.part_count, "parts": parts}
+    csv = ["rep,fiber,size"] + [f'"{p["rep"]}","{p["fiber"]}",{p["size"]}' for p in parts]
+    text = [f"subgroup={doc['subgroup']} parts={dec.part_count}"]
+    text += [f'part rep={p["rep"]} fiber={p["fiber"]}' for p in parts]
+    return 0, doc, csv, text
 
 
-def _cmd_stabilizer(args, out: _Output) -> int:
+def _cmd_stabilizer(args):
     group = parse_group(args.group)
-    x = parse_set(group, args.xset)
-    h = stabilizer(x)
-    if args.format == "json":
-        out.write(json.dumps(
-            {"group": format_group(group), "stabilizer": format_set(h.members),
-             "order": h.order}, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        out.write("stabilizer,order\n")
-        out.write(f'"{format_set(h.members)}",{h.order}\n')
-    else:
-        out.write(format_set(h.members) + "\n")
-        out.write(f"order={h.order}\n")
-    return 0
+    h = stabilizer(parse_set(group, args.xset))
+    members = format_set(h.members)
+    doc = {"group": format_group(group), "stabilizer": members, "order": h.order}
+    return 0, doc, ["stabilizer,order", f'"{members}",{h.order}'], [members, f"order={h.order}"]
 
 
 def _class_row(group, cls) -> dict:
@@ -457,53 +396,36 @@ def _class_row(group, cls) -> dict:
     }
 
 
-def _cmd_classify(args, out: _Output) -> int:
+def _cmd_classify(args):
     group = parse_group(args.group)
     a = parse_set(group, args.A)
     b = parse_set(group, args.B)
-    classes = classify_critical_pair(a, b)
-    rows = [_class_row(group, c) for c in classes]
-    if args.format == "json":
-        out.write(json.dumps({"group": format_group(group), "classes": rows},
-                             sort_keys=True, indent=2) + "\n")
-    elif args.format == "csv":
-        out.write("type,detail\n")
-        for row in rows:
-            detail = ";".join(f"{k}={v}" for k, v in row.items() if k != "type")
-            out.write(f'{row["type"]},"{detail}"\n')
-    else:
-        for row in rows:
-            detail = " ".join(f"{k}={v}" for k, v in row.items() if k != "type")
-            out.write(f'{row["type"]} {detail}\n')
-    return 0
+    rows = [_class_row(group, c) for c in classify_critical_pair(a, b)]
+    typed = [(row["type"], [f"{k}={v}" for k, v in row.items() if k != "type"]) for row in rows]
+    csv = ["type,detail"] + [f'{name},"{";".join(detail)}"' for name, detail in typed]
+    text = [f'{name} {" ".join(detail)}' for name, detail in typed]
+    return 0, {"group": format_group(group), "classes": rows}, csv, text
 
 
-def _cmd_sdr(args, out: _Output) -> int:
+def _cmd_sdr(args):
     group = parse_group(args.group)
     a = parse_set(group, args.A)
     b = parse_set(group, args.B)
     s = parse_set(group, args.S) if args.S is not None else None
-    inst = SdrInstance.from_sets(a, b, s, SdrVariant(args.variant))
-    solution = sdr_select(inst)
-    pair_rows = [
+    solution = sdr_select(SdrInstance.from_sets(a, b, s, SdrVariant(args.variant)))
+    rows = [
         {"k": k, "i": i, "j": j, "sum": format_element(group, total)}
         for k, ((i, j), total) in enumerate(zip(solution.pairs, solution.sums), start=1)
     ]
-    if args.format == "json":
-        out.write(json.dumps(
-            {"group": format_group(group), "variant": args.variant,
-             "length": len(solution), "pairs": pair_rows}, sort_keys=True, indent=2) + "\n")
-    elif args.format == "csv":
-        out.write("k,i,j,sum\n")
-        for row in pair_rows:
-            out.write(f'{row["k"]},{row["i"]},{row["j"]},"{row["sum"]}"\n')
-    else:
-        out.write(f"variant={args.variant} length={len(solution)}\n")
-        for row in pair_rows:
-            out.write(f'pair k={row["k"]} i={row["i"]} j={row["j"]} sum={row["sum"]}\n')
-    return 0
+    doc = {"group": format_group(group), "variant": args.variant, "length": len(solution),
+           "pairs": rows}
+    csv = ["k,i,j,sum"] + [f'{r["k"]},{r["i"]},{r["j"]},"{r["sum"]}"' for r in rows]
+    text = [f"variant={args.variant} length={len(solution)}"]
+    text += [f'pair k={r["k"]} i={r["i"]} j={r["j"]} sum={r["sum"]}' for r in rows]
+    return 0, doc, csv, text
 
 
+# each command returns (exit code, JSON document, CSV lines, text lines)
 _COMMANDS = {
     "sumset": _cmd_sumset,
     "verify": _cmd_verify,
@@ -514,21 +436,31 @@ _COMMANDS = {
     "sdr": _cmd_sdr,
 }
 
+# the commands whose JSON is one line; the others indent theirs by 2
+_ONE_LINE_JSON = ("sumset", "stabilizer")
+
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = _Output(getattr(args, "out", None))
+    args = build_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args, out)
+        code, doc, csv_lines, text_lines = _COMMANDS[args.command](args)
     except (LemmaViolation, EmptyClassification) as exc:
         print(f"rsumlab: {exc}", file=sys.stderr)
         return 1
     except (GroupError, HypothesisViolation, WorkCeilingExceeded, ValueError) as exc:
         print(f"rsumlab: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        indent = None if args.command in _ONE_LINE_JSON else 2
+        data = json.dumps(doc, sort_keys=True, indent=indent) + "\n"
+    else:
+        data = "".join(line + "\n" for line in (csv_lines if args.format == "csv" else text_lines))
     try:
-        out.flush()
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(data)
+        else:
+            sys.stdout.write(data)
     except OSError as exc:
         print(f"rsumlab: cannot write the output: {exc}", file=sys.stderr)
         return 2

@@ -447,6 +447,20 @@ class TestExhaustiveVerify:
         par = rl.exhaustive_verify(plan, [BoundKind.PAN_SUN], shard_count=4, threads=4)
         assert seq.to_json(include_timing=False) == par.to_json(include_timing=False)
 
+    @pytest.mark.parametrize("force_scalar", [False, True])
+    def test_duplicate_kinds_count_once(self, force_scalar):
+        # a kind listed twice is checked once, at its first place
+        g = rl.parse_group("Z5")
+        plan = rl.EnumerationPlan(group=g, s_min=1, s_max=1)
+        thm1, pansun = BoundKind.THM1, BoundKind.PAN_SUN
+        once, twice = (
+            rl.exhaustive_verify(plan, kinds, max_witnesses=2, force_scalar=force_scalar)
+            for kinds in ([thm1, pansun], [thm1, pansun, thm1, thm1])
+        )
+        assert twice.to_json(include_timing=False) == once.to_json(include_timing=False)
+        assert twice.kinds == (thm1, pansun)
+        assert twice.checks_planned == 2 * 4805
+
 
 class TestShardAccounting:
     @pytest.mark.parametrize("shard_count,threads", [(0, 1), (-1, 1), (1, 0), (2, -2)])

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from rsumlab import bounds
-from rsumlab.cli import main
+from rsumlab.cli import FORMATS, main
 
 
 def run_cli(capsys, *argv):
@@ -466,6 +466,115 @@ class TestGoldenSampledJson:
                 for args in (argv, argv[:i] + argv[i + 2:])]
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["constraints"]["gammas"] == list(range(1, 12))
+
+
+# sha256 of stdout under `--format text`, `json` and `csv`, with the exit code,
+# of every subcommand on a prime cyclic group and on Z2xZ4, whose elements
+# hold commas, so that the CSV columns holding them must be quoted
+GOLDEN_OUTPUT = {
+    "sumset --group Z7 --A {1,2,3} --B {1,2,3} --S {0}":
+        (0, ("90b16d5b3c274775fec43d1ac0d582c83c68f77eeb5f156d5192a1332aa4c6ee",
+              "ff763ef602268dcc969e2dcdfd6df4721087704498273963a3dd1e3a0d02a3e4",
+              "c6d7242048cd53846222625493441da99b355990910a22306ab0b49fba598961")),
+    "sumset --group Z7 --A {0,1,2} --B {0,1} --S {0} --gamma 3":
+        (0, ("6ceeee0f6e3d3a1472316c9051868583dbabd1a89363bd39cff8d06aee27e94e",
+              "6eafde5d400a7081fe406ae028b680f3f9d8e5218a7d530c1c5f0daabb39e16d",
+              "fbaf294de94d4943ed435cda922a18933d529f8c2149969c96b1ef83521d22aa")),
+    "sumset --group Z2xZ4 --A {(0,0),(0,1)} --B {(0,0),(1,2)} --S {(0,0)}":
+        (0, ("c665e27adac611332dfdb95543482e770dfa0ad7137a345e716ad31c362d4bc1",
+              "42201e76d899808f8c5e722cddeb072c8d6e8a5436cd21494a0418a1ed4bc617",
+              "9bfc49f18cab71818afc08ecb6907d304455fcbe3c59711e315f7e46c8422d74")),
+    "verify --group Z7 --bound pansun --bound thm1 --max-a 3 "
+    "--max-b 3 --max-s 1 --max-witnesses 3 --no-timing":
+        (0, ("5c32fa3cf9b5eeb482b65c99073d69e3cdbcfa6981fdde0ef05e24e5b27a44e4",
+              "b4d3a8059fcff9a2c25d329eb79a75a9a92ec00d6c208f616d68759dd8c4fe48",
+              "656572ccd08420688b7e5626aa3849d75a8f46d0efa16438f024bc5cee96642f")),
+    "verify --group Z7 --bound thm1 --max-a 3 --max-b 3 --max-s 1 --max-witnesses 0 --no-timing":
+        (0, ("ac42b53cd8e510105af42d570fcecfb5aab32a6c90139d5a39df64058f51e43d",
+              "87fdcbf448b387935a41917f538b4bb870b7928d4a60aa0a50f331f36c1bc065",
+              "688fb0fcde8c1665922aec1b63e34bf825c0dd6ba2a069fa6c1ea90c4bc8abbc")),
+    "verify --group Z2xZ4 --bound thm1 --max-a 3 --max-b 3 "
+    "--max-s 1 --max-witnesses 2 --no-timing":
+        (0, ("7a98bd35e4d92c10b45120a11bf24b0e5969cc2789947cd6bf322db54f501b8e",
+              "e0a6c350bd7775d0bede81cb0fba01fd7492fbfe039d989b7514ad0e747b8ef4",
+              "f695ea9b8ae174b247b10af6354e878cfff07a198c853be4ea4a61c5ab0e3d25")),
+    "search --group Z7 --bound pansun --mode tight --max-a 3 "
+    "--max-b 3 --max-s 1 --max-witnesses 3":
+        (0, ("30a7544e351256227843d82d8eff11c1ddc5d0466066233c5ecf5ef580d8ae2c",
+              "e2e35176c28db523528ca6577e56b5bfc2c1858ec5e676956187d33d9df2a795",
+              "18fa0c4fff89488c2081b436988d3107610b2a48753166a3cabe5960f33939e0")),
+    "search --group Z7 --bound anr --mode counterexample --max-a 2 --max-witnesses 3":
+        (1, ("a4d683d66639e88c8393e5b987e2551df171f3c1e3252a317c62d14f9c22afb6",
+              "a4e7cd99910ecc2c9e9fca3953b53f3bb69da426879553b3b43fc7b4eab16d2c",
+              "c52d9596bd82c7f5ec686a1293b9b452741cd87f562f97d884b259af240b53b0")),
+    "search --group Z7 --bound thm1 --mode counterexample --max-a 3 --max-b 3 --max-s 1":
+        (0, ("6c52e7914f6f0b8678c67cd9170ecdfa94369ff94213a31388096bfeb0dca252",
+              "de69f0b0186c67406373003ab037c34dd9cc6ea9db56dd5198aee9a86696ed5e",
+              "688fb0fcde8c1665922aec1b63e34bf825c0dd6ba2a069fa6c1ea90c4bc8abbc")),
+    "search --group Z2xZ4 --bound thm1 --mode tight --max-a 3 "
+    "--max-b 3 --max-s 1 --max-witnesses 2":
+        (0, ("5637ad49cc5e7c82ada215df18fb9bf0ccc0e9b9aad767bcd3834a9473ffa7b4",
+              "39838a64571d1740ec56bd738a6b705e4d5baf361d937d51e19bf37e21e6ca05",
+              "f695ea9b8ae174b247b10af6354e878cfff07a198c853be4ea4a61c5ab0e3d25")),
+    "decompose --group Z7 --set {0,1,3} --subgroup {0}":
+        (0, ("f9f9dca6057ecab910b6835ae84dc5eeba2ef6c47d80c77eea451a79a3339a55",
+              "ea323ee27fdb71c183741fc0ddb4082f378f77bb084dffdea0fff7565aa843f4",
+              "8e9e62604f3b6cf34460921dbccc3fb3b8ff0496ee75e1af109094d9444dc716")),
+    "decompose --group Z2xZ4 --set {(0,0),(0,1),(1,2)} --subgroup {(0,0),(0,2)}":
+        (0, ("9de244ac8e7818cc7d7d260216f728c2c6f9f042aca9a412bc2e88dcfbd7d6b5",
+              "c807ca7366717b1ab48041b0fac30db1fd788749af427c7bae2f5a9c03719c50",
+              "b7f51305e70aa4293deeb8a138cadb7d61c23e388d39fbbc6f5b9ec043b41f12")),
+    "stabilizer --group Z7 --set {0,1,2,3,4,5,6}":
+        (0, ("9f6c9185b3394c0af4f43cc24d4c3e6b69d2e25d6603f6eb1ee89a745848c82e",
+              "f16ea23cec2694c38876b2ad81f3e7a747eced61e0eaad7673f4e18638113157",
+              "65fad7ceb41a289b72e75aa0975deea5cfe71305d9007674281def2e6bd8f459")),
+    "stabilizer --group Z2xZ4 --set {(0,0),(0,2),(1,1),(1,3)}":
+        (0, ("d36d0d181db4d231971d04cdcca02e587c09bff6b90d076893c554bc7381bf28",
+              "024b0985243b5868eb44cba851795c5fc21fdf146e41d0bb8ec9e4675151e0fe",
+              "0551eb568d0f373dad12f5d604c6030097ce6e1a613a37f2e9369685d591625e")),
+    "classify --group Z7 --A {1,3,5} --B {2,4}":
+        (0, ("70dc598f63729bfa1f53f2fb39c1a94600d61f9f5bcf9efadeb84cf91e68aa94",
+              "6124c2161b83d754527c47efa5330f9d4e3cbaef5524054af6e278d09f112b8f",
+              "61ccdc50ce6e880a292eafb123f5d2b40e5f1e0a5694c8ef7df4378afbfce52d")),
+    "classify --group Z2xZ4 --A {(0,1)} --B {(1,2)}":
+        (0, ("a180542b8f5b3e20bf863bf682a3b2d5c43d0f96e7114530527529be72680878",
+              "67b4274b078584b727c1900a41c603e886e2260463a14599067b4e1d4d78e70a",
+              "5e1365871959e851dff2529d9332e1155bcc9b8b399148f445314050ca9db560")),
+    "sdr --group Z7 --A {0,1,2,3} --B {0,1,2,3} --S {0} --variant lemma22":
+        (0, ("eb855493dc675ab90c7892b32ada0c3be50e2a523c5e15fdcf47721b7fa0f688",
+              "a8eaaf53f62cf7fa40897f651366af17d3a1878c6f3524d272bb22824735c9b3",
+              "b3735f7aca4f48242a21cb4623cfdf57ab373f2cf5aa0293f27bc6290e9ad555")),
+    "sdr --group Z2xZ4 --A {(0,0),(0,1),(0,2),(0,3)} --B {(1,0)} --S {(0,0)} --variant lemma33":
+        (0, ("b4858404f6a91ffc3b9f2859c7883a285d7f75098f121befab7314c7f17bc1e3",
+              "df5e67a6236ec139917b3261e9ea6e6bd6f4ba6aa920c2fdf738cff3c13b52c7",
+              "25f301d40070be96af377b89fe3a0396efd72f2e5ccff6ffdaeaca1671910da0")),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("argv", sorted(GOLDEN_OUTPUT))
+    def test_bytes_match(self, capsys, argv, fmt):
+        want_code, digests = GOLDEN_OUTPUT[argv]
+        code, out, _ = run_cli(capsys, *argv.split(), "--format", fmt)
+        assert code == want_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[FORMATS.index(fmt)]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_refused_sweep_bytes(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "verify", "--group", "Z7", "--bound", "twisted", "--gamma", "6",
+            "--max-a", "2", "--max-b", "2", "--format", fmt,
+        )
+        assert (code, out) == (2, "")
+        assert err == ("rsumlab: gamma = 6 is -1 modulo 7, where no twisted check applies; "
+                       "only a counterexample search, which drops the hypotheses, takes it\n")
+
+    @pytest.mark.parametrize("command", ["verify", "search"])
+    def test_bad_threads_env_bytes(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("RSUMLAB_THREADS", "x2")
+        code, out, err = run_cli(capsys, command, "--group", "Z5", "--bound", "anr")
+        assert (code, out, err) == (2, "", "rsumlab: bad RSUMLAB_THREADS value 'x2'\n")
 
 
 class TestSearchCommand:
