@@ -14,6 +14,17 @@ y + X less (1+gamma)*y + S.  That is the one contribution-mask rule,
 ``cmasks_general(A) & kept(S, gamma)``, and ``MaskTables.size_tables``, the
 one builder of |A +_S B| tables, applies it for the sweep kernel and the tests.
 
+The sweep kernel counts once per orbit pair.  For a unit u (coprime to the
+exponent) (A, B, S) -> (uA, uB, uS) keeps |A +_S B| at every gamma, and
+translating A or S keeps it too, with B moved.  ``MaskTables.orbit_pairs``
+enumerates the S masks of a size up to translations and all units; for each
+orbit's least mask S0 it takes H0, the units that map S0 to a translate of
+itself, and the A masks of a size up to translations and H0, with the
+number of masks in each A orbit.  Each A orbit's least member stands for
+its members at S0, and S0 for the orbit's S masks.  ``size_tables`` builds
+the tables of such (A, key) pairs in chunks of rows across several unit
+groups at once.
+
 Size tables need only the sizes |U[m]|, so ``size_table_batch`` runs
 the recursion on byte planes: byte j of every contribution mask holds the
 elements 8j..8j+7, the unions of each plane are taken on their own, and the
@@ -27,13 +38,35 @@ memory); everything here is internal API.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from .groups import GroupSpec, index_table
+from .groups import GroupSpec, index_table, map_bits
+from .sets import size_mask_array
 
 MAX_TABLE_ORDER = 20
 
 MASK_DTYPE = np.uint32
+
+
+@dataclass(frozen=True)
+class AOrbits:
+    """The A masks of one size (``sets.size_mask_array`` order) up to translations and H."""
+
+    reps: np.ndarray  # the least mask of each orbit, ascending
+    index: np.ndarray  # index[i]: the orbit of the size's i-th A mask
+    weights: np.ndarray  # the size's A masks in each orbit
+
+
+@dataclass(frozen=True)
+class SOrbit:
+    """The S masks of one size in one orbit under translations and all units."""
+
+    rep: int  # S0, the orbit's least mask
+    units: tuple[int, ...]  # H0, the units that map S0 to a translate of itself
+    members: dict[int, list[int]]  # u -> the masks that are translates of u*S0, one u per coset
 
 
 class MaskTables:
@@ -48,7 +81,12 @@ class MaskTables:
         self.index = index_table(group)
         self.add = self.index.add_array()
         self.pops = popcount_table(n)
+        self.exponent = math.lcm(*group.factors)
+        # the units modulo the exponent, ascending: x -> u*x is an automorphism for these
+        self.units = tuple(u for u in range(1, self.exponent) if math.gcd(u, self.exponent) == 1)
         self._orbit_reps: dict[tuple[int, ...], np.ndarray] = {}
+        self._a_orbits: dict[tuple, AOrbits] = {}
+        self._s_orbits: dict[tuple[int, bool], list[SOrbit]] = {}
         self._kept: dict[tuple[int, int], np.ndarray] = {}
 
     @property
@@ -81,6 +119,58 @@ class MaskTables:
             self._orbit_reps[units] = rep
         return rep
 
+    def a_orbits(self, units: tuple[int, ...], a_size: int, pin_zero: bool = False) -> AOrbits:
+        """The A masks of size ``a_size`` (with 0 when ``pin_zero``) by orbit under
+        translations and the unit group ``units``; cached per argument tuple."""
+        key = (units, a_size, pin_zero)
+        orbits = self._a_orbits.get(key)
+        if orbits is None:
+            masks = size_mask_array(self.pops, a_size, pin_zero)
+            orbits = self._a_orbits[key] = AOrbits(*np.unique(
+                self.orbit_rep(units)[masks], return_inverse=True, return_counts=True))
+        return orbits
+
+    def s_orbits(self, s_size: int, pin_zero: bool = False) -> list[SOrbit]:
+        """The S masks of size ``s_size`` (with 0 when ``pin_zero``) by orbit under
+        translations and all units, by ascending least mask; cached per argument pair."""
+        key = (s_size, pin_zero)
+        if key not in self._s_orbits:
+            masks = size_mask_array(self.pops, s_size, pin_zero)
+            by_rep: dict[int, list[int]] = {}
+            for smask, rep in zip(masks.tolist(), self.orbit_rep(self.units)[masks].tolist()):
+                by_rep.setdefault(rep, []).append(smask)
+            orbits = []
+            for rep in sorted(by_rep):
+                # the least translate of u*S0 -> the units u that give it
+                classes: dict[int, list[int]] = {}
+                for u in self.units:
+                    image = map_bits(rep, self.index.scaled(u))
+                    classes.setdefault(int(self.translation_rep[image]), []).append(u)
+                members: dict[int, list[int]] = {}
+                for smask in by_rep[rep]:
+                    u = classes[int(self.translation_rep[smask])][0]
+                    members.setdefault(u, []).append(smask)
+                orbits.append(SOrbit(rep, tuple(classes[rep]), members))
+            self._s_orbits[key] = orbits
+        return self._s_orbits[key]
+
+    def orbit_pairs(self, a_size: int, s_size: int, pin_a: bool = False,
+                    pin_s: bool = False) -> list[tuple[SOrbit, AOrbits]]:
+        """The (A, S) pairs of two sizes up to translations and units, one per S orbit.
+
+        For each orbit of the S masks, with least mask S0 and H0 its ``units``,
+        the A masks are grouped by orbit under translations and H0.  Every
+        (A, S) with S = u*S0 + x has the hits of (u^-1 A, S0), and the size's
+        A masks are closed under units, so an A orbit's least member counts
+        for its ``weights`` A masks times the orbit's S masks at S0.
+        """
+        return [(o, self.a_orbits(o.units, a_size, pin_a)) for o in self.s_orbits(s_size, pin_s)]
+
+    def multiples(self, masks: np.ndarray, u: int) -> np.ndarray:
+        """The mask of u*m for each mask m of ``masks``."""
+        members = np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(self.n) & 1
+        return (members << np.asarray(self.index.scaled(u))).sum(axis=1)
+
     def _image_table(self, row) -> np.ndarray:
         """P[m] = mask of {row[b] : b in m} for every mask m, e.g. x + m for an add row."""
         return union_table((np.int64(1) << np.asarray(row)).astype(MASK_DTYPE), self.n)
@@ -106,22 +196,42 @@ class MaskTables:
             self._kept[sbits, gamma] = (~excluded[self.index.scaled(1 + gamma)]).astype(MASK_DTYPE)
         return self._kept[sbits, gamma]
 
-    def size_tables(self, amasks: np.ndarray, keys, chunk_rows: int):
-        """Yield (rows, j, sizes), sizes[r, B] = |A +_S B| at A = amasks[rows][r]
-        and (S, gamma) = keys[j]: one ``size_table_batch`` call per chunk of
-        ``chunk_rows`` A masks and batch of keys, at most ``chunk_rows`` rows each.
+    def size_tables(self, groups, chunk_rows: int):
+        """Yield (g, j, rows, sizes), sizes[r, B] = |A +_S B| at A = amasks[rows][r]
+        and (S, gamma) = keys[j] of ``groups[g] = (amasks, keys)``.
+
+        The rows are (A mask, key) pairs, key by key within each group, and
+        one ``size_table_batch`` call builds each chunk of ``chunk_rows``
+        rows across all groups.  The translates of a group's A masks are
+        built once, ``chunk_rows`` masks per ``cmasks_general`` call.
         """
-        n = self.n
-        for first in range(0, amasks.size, chunk_rows):
-            rows = slice(first, first + chunk_rows)
-            translates = self.cmasks_general(amasks[rows])
-            per_batch = max(1, chunk_rows // len(translates))
-            for i in range(0, len(keys), per_batch):
-                batch = keys[i:i + per_batch]
-                cmasks = np.stack([self.kept(*key) for key in batch])[:, None] & translates
-                sizes = size_table_batch(cmasks.reshape(-1, n), n)
-                for j, lhs in enumerate(sizes.reshape(len(batch), len(translates), 1 << n), i):
-                    yield rows, j, lhs
+        pending: list[tuple] = []  # (g, j, rows, contribution masks) of the chunk
+        room = chunk_rows
+        for g, (amasks, keys) in enumerate(groups):
+            if not amasks.size or not keys:
+                continue
+            translates = np.concatenate([self.cmasks_general(amasks[i:i + chunk_rows])
+                                         for i in range(0, amasks.size, chunk_rows)])
+            for j, key in enumerate(keys):
+                kept = self.kept(*key)
+                first = 0
+                while first < amasks.size:
+                    rows = slice(first, min(first + room, amasks.size))
+                    pending.append((g, j, rows, translates[rows] & kept))
+                    room -= rows.stop - first
+                    first = rows.stop
+                    if not room:
+                        yield from self._build(pending)
+                        pending, room = [], chunk_rows
+        if pending:
+            yield from self._build(pending)
+
+    def _build(self, pending):
+        sizes = size_table_batch(np.concatenate([cmasks for *_, cmasks in pending]), self.n)
+        first = 0
+        for g, j, rows, cmasks in pending:
+            yield g, j, rows, sizes[first:first + len(cmasks)]
+            first += len(cmasks)
 
 
 def popcount_table(n: int) -> np.ndarray:

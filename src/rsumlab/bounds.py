@@ -7,14 +7,14 @@ check plan per (|A|, |S|) class (``_size_class``) says which (kind, gamma)
 checks run and whether B must equal A, and ``_check_rhs`` gives their rhs
 at each |B|; both sweep paths read them.  Exhaustive sweeps go class
 first: for each |A| with checks left they gather the checks of all its |S|
-classes under the (S, gamma) their operator reads, one S per translation
-class of S (plain and restricted fix theirs), group its A masks, one slice
-of the popcount table, by orbit under translations and the units that map
-every S class it reads to a translate of itself, and evaluate all B at once
-through the mask tables in ``_masks``, once per pair of classes: a
-translate of A or of S, and a unit multiple u(A, B, S), have the same hit
-counts.  The same pass over each |A| harvests witness rows, real triples,
-from its first A masks with hits.
+classes under the (S, gamma) their operator reads, one S per orbit of S
+under translations and units (plain and restricted fix theirs), group its A
+masks, one slice of the popcount table, by orbit under translations and the
+units that map that S to a translate of itself, and evaluate all B at once
+through the mask tables in ``_masks``, once per orbit pair
+(``MaskTables.orbit_pairs``): a translate of A or of S, and a unit multiple
+u(A, B, S), have the same hit counts.  The same pass over each |A|
+harvests witness rows, real triples, from its first A masks with hits.
 A scalar fallback walks the triple stream one triple at a time,
 evaluating every operator of a triple in one engine ``pair_sums`` call over
 the translates b + A, and is kept bit-for-bit consistent with the vectorized
@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import heapq
 import json
-import math
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -50,7 +49,7 @@ from .engine import (
     sumset,
     twisted_restricted_sumset,
 )
-from .groups import GroupSpec, format_group, map_bits
+from .groups import GroupSpec, format_group
 from .sets import (
     ElementSet,
     EnumerationPlan,
@@ -181,8 +180,9 @@ _KIND_INFO = {
 }
 
 ALL_KINDS = tuple(BoundKind)
-# The kernel counts a kind that reads S once per translation class of S, a
-# count that moves B to B + y; a B = A check cannot follow it, so it fixes S.
+# The kernel counts a kind that reads S once per orbit of S under translations
+# and units, a count that moves B to B + y; a B = A check cannot follow it, so
+# it fixes S.
 assert not any(kind.reads_s and kind.info.equal_sets for kind in ALL_KINDS)
 
 
@@ -616,50 +616,52 @@ def _harvest(collector: _TopK, rows, cols, chunk, smask, kind, gamma, lhs, rhs, 
             return
 
 
+def _row_counts(hit: np.ndarray) -> np.ndarray:
+    """The hits in each row of a 2-d bool table, summed over its bytes viewed
+    as uint8: numpy's ``count_nonzero(axis=1)`` takes a slower generic reduction."""
+    return np.add.reduce(hit.view(np.uint8), axis=1, dtype=np.int32)
+
+
 def _vector_shard(
     plan: EnumerationPlan, cfg: _SweepConfig, shard_index: int, shard_count: int
 ) -> _ShardResult:
-    """Evaluate every B at once, one size table per unit orbit of A and translation class of S.
+    """Evaluate every B at once, one size table per orbit pair of (A, S) under units.
 
     Shard i of N walks every N-th |A| of the plan from a_min + i, and takes
     all A masks of each size, one slice of the popcount table.  Each
     (|A|, |S|) class is planned and counted once, its rhs read out over B by
     the B popcounts, and its checks are gathered under the (S, gamma) that
     their operator reads, in one key map for all classes of that |A|.  Only
-    sizes with checks left are walked.  ``MaskTables.size_tables`` builds
-    the |A +_S B| tables, by chunks of A masks and batches of keys within
-    ``_CHUNK_BYTES``, and each batch's checks run before the next is built.
+    sizes with checks left are walked.
 
-    Each |A| is one pass over one key map.  It counts with tables built once
-    per class of the size's A masks, for its least member.  A class holds
-    at least a translation class (``MaskTables.translation_rep``), as
-    (A, B, S) -> (A + x, B + x/gamma, S) keeps the lhs, |B| and B = A (the
-    only B = A checks are at gamma = 1), so each member of a translation
-    class has its least member's hits.  Likewise
-    (A, B, S) -> (A, B - y/gamma, S + y) keeps the lhs, as the sum only
-    moves by -y/gamma, and |B|; every gamma a sweep takes is a unit, so a
-    check whose operator reads S is keyed at the least translate of S, and
-    one entry stands for the plan's masks of that class.  An operator that
-    fixes S has one entry per |S| class for all its masks.  An entry's hits
-    count once per member of the A class and per S mask it stands for.
-
-    The A classes are orbits under units as well.  For a unit u (coprime to
-    the exponent), (A, B, S) -> (uA, uB, uS) keeps the lhs at every gamma,
-    since u(a - gamma*b) = ua - gamma*(ub), and keeps every size and B = A.
-    So if u maps each entry's S class to a translate of itself, uA has A's
-    hits at every entry.  Each pass takes H, the units that do so for every
-    S its keys read, and groups by ``MaskTables.orbit_rep(H)``.  Every unit
-    fixes S = {} and S = {0}, so a pass of plain and restricted keys merges
-    A under all units; -1 maps every S of at most two elements to a
-    translate of itself.
+    Each |A| is one pass over one key map, and it counts with tables built
+    once per orbit pair of (A, S).  For a unit u (coprime to the exponent),
+    (A, B, S) -> (uA, uB, uS) keeps the lhs at every gamma, since
+    u(a - gamma*b) = ua - gamma*(ub), and keeps every size and B = A (the
+    only B = A checks are at gamma = 1).  (A, B, S) -> (A + x, B + x/gamma, S)
+    and (A, B - y/gamma, S + y) keep the lhs and |B| too, as every gamma a
+    sweep takes is a unit.  So a check whose operator reads S has one entry
+    per orbit of the size's S masks under translations and units, from
+    ``MaskTables.orbit_pairs``, keyed at the orbit's least mask S0: each S
+    mask u*S0 + x of the orbit gives A the hits of u^-1 A at S0, and the A
+    masks of a size are closed under units, so the entry's hits count once
+    per S mask of the plan in the orbit.  Its A masks are grouped by orbit
+    under translations and H0, the units that map S0 to a translate of
+    itself, and each member of an A orbit has its least member's hits.  An
+    operator that fixes S has one entry per |S| class for all its masks,
+    keyed at the fixed S, which every unit fixes, so its A masks are grouped
+    under all units.  ``MaskTables.size_tables`` builds the tables of every
+    (A orbit, key) pair of a pass in chunks of ``_chunk_rows`` rows across
+    its unit groups, and each chunk's checks run before the next is built.
 
     Then it builds tables for the A masks that can still give a collector
-    witness rows, at the real (S, gamma) keys of the S masks that the
-    entries their class hit stand for.  Triple keys sort by A mask first,
-    so these are its first ``cap`` masks of this size whose class had
-    a hit, less those whose least key is at or above its ``threshold``;
-    ``_harvest`` offers their hits, computed once per entry and offered
-    under each of its S masks when the operator fixes S.
+    witness rows, at the real (S, gamma) keys of the S masks that their hit
+    entries stand for.  A has a hit at S = u*S0 + x iff the orbit under H0
+    of u^-1 A has one at S0, one gather per (H0, u) and pass.  Triple keys
+    sort by A mask first, so these are its first ``cap`` masks of this size
+    with a hit, less those whose least key is at or above its
+    ``threshold``; ``_harvest`` offers their hits, computed once per entry
+    and offered under each of its S masks when the operator fixes S.
     """
     g = plan.group
     n = g.order
@@ -668,11 +670,6 @@ def _vector_shard(
     res = _ShardResult(_TopK(cfg.max_witnesses), _TopK(cfg.max_witnesses))
     s_by_size = {h: size_mask_array(t.pops, h, plan.canonicalize_s).tolist()
                  for h in range(plan.s_min, plan.s_max + 1)}
-    # each size's S masks by translation class: least translate -> members, ascending
-    s_classes = {h: {} for h in s_by_size}
-    for h, s_list in s_by_size.items():
-        for smask, rep in zip(s_list, t.translation_rep[s_list].tolist()):
-            s_classes[h].setdefault(rep, []).append(smask)
     # one comparison per table: lhs <= rhs when both collectors are on, split by lhs < rhs
     both = cfg.collect_violations and cfg.collect_tight
     cmp = np.less_equal if both else np.less if cfg.collect_violations else np.equal
@@ -681,26 +678,18 @@ def _vector_shard(
     else:
         collectors = (res.violations if cfg.collect_violations else res.tight,)
     chunk_rows = _chunk_rows(n)
-    exponent = math.lcm(*g.factors)
-    units = [u for u in range(1, exponent) if math.gcd(u, exponent) == 1]
-
-    @functools.cache
-    def fixing(smask):
-        """The units u that map the S class with least translate ``smask`` to itself."""
-        return {u for u in units
-                if t.translation_rep[map_bits(smask, t.index.scaled(u))] == smask}
 
     def key_map(m):
-        """|A| = m's key map, (S, gamma) -> positions in its check entries, and
-        its (|S| masks, evaluated, pruned).
+        """|A| = m's key map, H0 -> (its A orbits, (S, gamma) -> positions in
+        its check entries), the entries, and its (|S| masks, evaluated, pruned).
 
-        An entry lists the S masks it stands for: one translation class of
-        the size's masks, keyed at its least translate, when the operator
-        reads the sweep's S, and all of them at the fixed key when the
-        operator fixes S.
+        An entry is (H0, S masks by unit u, their count, kind, gamma, same,
+        rhs): one orbit of the size's S masks under translations and units,
+        keyed at its least mask S0, when the operator reads the sweep's S, and
+        all of them at the fixed key, under u = 1, when the operator fixes S.
         """
-        work: dict[tuple[int, int], list[int]] = {}
-        entries = []  # (S masks, kind, gamma, same, rhs)
+        work: dict[tuple[int, ...], tuple[_masks.AOrbits, dict]] = {}
+        entries = []
         classes = []
         for h, s_list in s_by_size.items():
             checks, evaluated, pruned = _size_class(plan, cfg, m, h)
@@ -710,11 +699,16 @@ def _vector_shard(
                 if max(rhs) < 0:
                     continue  # no |B| of the plan to check
                 rhs = np.array(rhs, dtype=np.int8)[t.pops]
-                groups = s_classes[h].items() if kind.reads_s else [(0, s_list)]
-                for rep, members in groups:
+                if kind.reads_s:
+                    groups = [(o.rep, o.units, o.members, a) for o, a in t.orbit_pairs(
+                        m, h, plan.canonicalize, plan.canonicalize_s)]
+                else:  # every unit fixes S = {} and S = {0}
+                    groups = [(0, t.units, {1: s_list}, t.a_orbits(t.units, m, plan.canonicalize))]
+                for rep, units, members, a in groups:
                     key = _operator_s_gamma(kind, rep, gamma)
-                    work.setdefault(key, []).append(len(entries))
-                    entries.append((members, kind, gamma, same, rhs))
+                    work.setdefault(units, (a, {}))[1].setdefault(key, []).append(len(entries))
+                    s_count = sum(map(len, members.values()))
+                    entries.append((units, members, s_count, kind, gamma, same, rhs))
         return work, entries, classes
 
     for m in range(plan.a_min + shard_index, plan.a_max + 1, shard_count):
@@ -724,18 +718,18 @@ def _vector_shard(
             res.count(mine.size * s_count * b_count, evaluated, pruned)
         if not work:
             continue
-        keys = list(work)
-        # H: the units that map every S class the keys read to a translate of itself
-        s_keys = {smask for smask, _ in keys}
-        fixed = tuple(u for u in units if all(u in fixing(smask) for smask in s_keys))
-        reps, member_rep, weight = np.unique(
-            t.orbit_rep(fixed)[mine], return_inverse=True, return_counts=True)
-        # hit_at[c, e, r]: class r had a hit for collectors[c] in entries[e]
-        hit_at = np.zeros((len(collectors), len(entries), reps.size), dtype=bool)
-        for rows, j, lhs in t.size_tables(reps, keys, chunk_rows):
-            ar = reps[rows]
-            for e in work[keys[j]]:
-                members, kind, gamma, same, rhs = entries[e]
+        # hit_at[e][c, r]: A orbit r under entry e's H0 had a hit for collectors[c] there
+        hit_at = [np.zeros((len(collectors), work[units][0].reps.size), dtype=bool)
+                  for units, *_ in entries]
+        # one group of (A orbit, key) pairs per H0
+        groups = [(orbits, list(keys.values())) for orbits, keys in work.values()]
+        tables = [(orbits.reps, list(keys)) for orbits, keys in work.values()]
+        for k, j, rows, lhs in t.size_tables(tables, chunk_rows):
+            orbits, by_key = groups[k]
+            ar = orbits.reps[rows]
+            weight = orbits.weights[rows]
+            for e in by_key[j]:
+                *_, s_count, kind, gamma, same, rhs = entries[e]
                 if same:  # only B = A: one entry per row
                     lhs_h, rhs_h = lhs[np.arange(ar.size), ar][:, None], rhs[ar][:, None]
                 else:
@@ -743,33 +737,55 @@ def _vector_shard(
                 hit = cmp(lhs_h, rhs_h)
                 if not hit.any():
                     continue
-                per_row = np.count_nonzero(hit, axis=1)
+                per_row = _row_counts(hit)
                 counts = (per_row,)
                 if both:  # split the lhs <= rhs hits
-                    below = np.count_nonzero(lhs_h < rhs_h, axis=1)
+                    below = _row_counts(lhs_h < rhs_h)
                     counts = (below, per_row - below)
                 for c, (collector, count) in enumerate(zip(collectors, counts)):
-                    collector.total += len(members) * int(count @ weight[rows])
-                    hit_at[c, e, rows] |= count > 0
-        # witness rows: each collector's first cap masks whose class had a hit,
-        # less those whose least possible key is at or above its threshold
+                    collector.total += s_count * int(count @ weight)
+                    hit_at[e][c, rows] |= count > 0
+        # where[H0, u][i]: the A orbit under H0 of u^-1 A for the i-th mask A of mine,
+        # built for the (H0, u) of the S masks behind each hit entry
+        where = {}
+        hit = np.zeros((len(collectors), mine.size), dtype=bool)  # A has a hit at some S
+        for e, (units, members, *_) in enumerate(entries):
+            if not hit_at[e].any():
+                continue
+            orbits = work[units][0]
+            for u in members:
+                if (units, u) not in where:
+                    if u == 1:
+                        where[units, u] = orbits.index
+                    else:
+                        images = t.orbit_rep(units)[t.multiples(mine, pow(u, -1, t.exponent))]
+                        where[units, u] = np.searchsorted(orbits.reps, images)
+                hit |= hit_at[e][:, where[units, u]]
+        # witness rows: each collector's first cap masks with a hit, less those
+        # whose least possible key is at or above its threshold
         picks = set()  # positions in mine
         for c, collector in enumerate(collectors):
-            first = np.flatnonzero(hit_at[c].any(axis=0)[member_rep])[:collector.cap]
+            first = np.flatnonzero(hit[c])[:collector.cap]
             limit = collector.threshold
             picks.update(i for i, a in zip(first.tolist(), mine[first].tolist())
                          if limit is None or _triple_key(n, a, 0, 0, ALL_KINDS[0], None) < limit)
+        if not picks:
+            continue
         picks = sorted(picks)
         amasks = mine[picks]
-        # the real (S, gamma) keys of the S masks behind each entry their classes hit
+        # the real (S, gamma) keys of the S masks behind each entry the picks hit
         real: dict[tuple[int, int], list] = {}
-        for e in np.flatnonzero(hit_at[:, :, member_rep[picks]].any(axis=(0, 2))):
-            members, kind, gamma, same, rhs = entries[e]
-            for smasks in ([s] for s in members) if kind.reads_s else [members]:
-                key = _operator_s_gamma(kind, smasks[0], gamma)
-                real.setdefault(key, []).append((smasks, kind, gamma, same, rhs))
+        for e, (units, members, _, kind, gamma, same, rhs) in enumerate(entries):
+            if not hit_at[e].any():
+                continue
+            for u, s_list in members.items():
+                if not hit_at[e][:, where[units, u][picks]].any():
+                    continue
+                for smasks in ([s] for s in s_list) if kind.reads_s else [s_list]:
+                    key = _operator_s_gamma(kind, smasks[0], gamma)
+                    real.setdefault(key, []).append((smasks, kind, gamma, same, rhs))
         wanted = list(real)
-        for rows, j, lhs in t.size_tables(amasks, wanted, chunk_rows):
+        for _, j, rows, lhs in t.size_tables([(amasks, wanted)], chunk_rows):
             ar = amasks[rows]
             chunk = ar.tolist()  # Python ints: triple keys overflow int64 at order 20
             for smasks, kind, gamma, same, rhs in real[wanted[j]]:
@@ -850,9 +866,6 @@ class VerificationSummary:
 
     def to_json(self, include_timing: bool = True) -> str:
         return json.dumps(self.to_json_dict(include_timing), sort_keys=True, indent=2)
-
-    def to_csv(self) -> str:
-        return witness_csv(self.plan.group, [r.to_row() for r in self.violations + self.tight])
 
 
 def witness_csv(group: GroupSpec, rows: list[dict]) -> str:

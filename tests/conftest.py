@@ -153,7 +153,7 @@ def size_rows(t, amasks, keys):
     ``MaskTables.size_tables`` at the kernel's chunk size."""
     amasks = np.atleast_1d(np.asarray(amasks, dtype=np.int64))
     out = np.empty((len(keys), amasks.size, 1 << t.n), dtype=np.int8)
-    for rows, j, sizes in t.size_tables(amasks, keys, bounds._chunk_rows(t.n)):
+    for _, j, rows, sizes in t.size_tables([(amasks, keys)], bounds._chunk_rows(t.n)):
         out[j, rows] = sizes
     return out
 

@@ -2,8 +2,9 @@
 
 Run with ``pytest -s tests/test_acceptance.py -v`` to see the lines.  Heavy
 sweeps that several criteria share are computed once in session fixtures.
-Where a sweep cannot fit the default work ceiling (the full Z15 pair sweep
-and the Z16 |S|<=3 sweep), the override is explicit and noted inline.
+Where a sweep cannot fit the default work ceiling (the full Z15 pair sweep,
+the Z16 |S|<=3 sweep and the Z17 thm1 + pansun sweep), the override is
+explicit and noted inline.
 """
 
 from __future__ import annotations
@@ -345,3 +346,13 @@ def test_criterion_13_shard_determinism(tmp_path):
     identical = outputs[0] == outputs[1] == outputs[2]
     _gate(13, "verify byte-identical across shard counts {1,2,8}", identical,
           f"({len(outputs[0])} bytes)")
+
+
+def test_criterion_14_thm1_pansun_z17():
+    start = time.perf_counter()
+    # thm1 + pansun on Z17 at |S| <= 2 plans 2.6e12 checks, over the default ceiling
+    s = _verify(rl.parse_group("Z17"), [BoundKind.THM1, BoundKind.PAN_SUN], smin=1, smax=2,
+                canonicalize=True, ceiling=10 ** 13)
+    elapsed = time.perf_counter() - start
+    _gate(14, "thm1 + pansun on Z17 |S|<=2", s.violation_count == 0 and elapsed < 60,
+          f"({s.triples_checked} triples, {elapsed:.1f}s)")

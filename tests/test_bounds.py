@@ -12,7 +12,7 @@ import rsumlab as rl
 from rsumlab import _masks, bounds
 from rsumlab.bounds import BoundKind
 from rsumlab.groups import IndexTable
-from rsumlab.sets import plan_a_masks, plan_b_masks, plan_s_masks
+from rsumlab.sets import plan_a_masks, plan_b_masks, plan_s_masks, size_mask_array
 from conftest import o_add, o_elements, o_perm, o_scale, perm_mask_table, set_of, size_rows
 
 
@@ -76,6 +76,44 @@ def affine_orbit_reps(g, units):
     return np.minimum.reduce([
         perm_mask_table(o_perm(f, lambda e, u=u, y=y: o_add(f, o_scale(f, u, e), y)))
         for u in units for y in o_elements(f)])
+
+
+def orbit_pair_rows(plan, kinds, gammas):
+    """The counting rows of a sweep with no witness rows, by tuple arithmetic,
+    and the (S, gamma) keys that its checks read at the plan's S masks.
+
+    Each |A| builds one row per (A orbit, key) pair: a key is the (S, gamma)
+    some check's operator reads, at the least mask S0 of S's orbit under
+    translations and all units, and its A orbits are those of the size's A
+    masks under translations and H0, the units that map S0 to a translate of
+    itself.  Keys whose rhs is below 0 at every |B| build nothing.
+    """
+    g = plan.group
+    p = g.least_prime
+    units = unit_group(g)
+    least = affine_orbit_reps(g, units)
+    translates = affine_orbit_reps(g, (1,))
+    scaled = {u: scaled_masks(g, u) for u in units}
+    reps = {}  # H0 -> least mask of each A mask's orbit
+    rows, real = 0, set()
+    for m in range(plan.a_min, plan.a_max + 1):
+        keys = set()
+        for smask in plan_s_masks(plan):
+            h = smask.bit_count()
+            for kind in kinds:
+                for gamma in gammas if kind.operator is bounds.Operator.TWISTED else [None]:
+                    if any(not bounds._failed_hypothesis(kind, g, m, k, h, gamma)
+                           and bounds.bound_value(kind, m, k, h, p) >= 0
+                           for k in range(plan.b_min, plan.b_max + 1)):
+                        keys.add(bounds._operator_s_gamma(kind, int(least[smask]), gamma))
+                        real.add(bounds._operator_s_gamma(kind, smask, gamma))
+        amasks = [a for a in plan_a_masks(plan) if a.bit_count() == m]
+        for s0, _ in keys:
+            fixing = tuple(u for u in units if translates[scaled[u][s0]] == s0)
+            if fixing not in reps:
+                reps[fixing] = affine_orbit_reps(g, fixing)
+            rows += np.unique(reps[fixing][amasks]).size
+    return rows, real
 
 
 def kernel_sizes(plan, shard_index, shard_count):
@@ -734,10 +772,10 @@ class TestChunkBoundaries:
 
         ``--bound all`` on Z7 with two gammas mixes all four operators in one
         sweep: every |S| class of an |A| shares its S = {} and S = {0} keys,
-        and general and twisted checks read one key per translation class of
-        S and gamma.  The counting tables are built once per (translation
-        class of A, count key) whatever the batching; the witness rows stay
-        within cap per (S, gamma) key.
+        and general and twisted checks read one key per orbit of S under
+        translations and units, and gamma.  The counting tables are built
+        once per orbit pair of A and count key whatever the batching; the
+        witness rows stay within cap per (S, gamma) key.
         """
         g = rl.parse_group("Z7")
         plan = rl.EnumerationPlan(group=g, a_max=2, b_max=2, s_min=0, s_max=2)
@@ -747,8 +785,8 @@ class TestChunkBoundaries:
             return rl.exhaustive_verify(plan, kinds, gammas=gammas, **kw)
 
         build = _masks.size_table_batch
-        # whole classes in one chunk each: every key of a class in one batch,
-        # then 4 keys of a 3-row chunk per batch; last, one row and one key
+        # every pair of an |A| in one call, then chunks of 12 pairs, which
+        # split the |A| = 2 pass; last, one pair per call
         budgets = (1 << 30, _chunk_budget(g, 4 * 3), _chunk_budget(g, 1))
         caps = (0, 5)
         rows_per_call = {}
@@ -767,28 +805,11 @@ class TestChunkBoundaries:
         one, several, single = (rows_per_call[0, budget] for budget in budgets)
         assert len(one) < len(several) < len(single)
         assert max(one) > 4 * 3 and max(several) == 4 * 3 and set(single) == {1}
-        # one counting row per translation class of A and count key that some
-        # check reads: the operator's (S, gamma) at the least translate of S
-        p = g.least_prime
-        rep = _masks.tables_for(g).translation_rep
-        pairs, keys = set(), set()
-        for amask in range(1 << g.order):
-            m = amask.bit_count()
-            for smask in range(1 << g.order):
-                h = smask.bit_count()
-                if not (plan.a_min <= m <= plan.a_max and plan.s_min <= h <= plan.s_max):
-                    continue
-                for kind in kinds:
-                    for gamma in gammas if kind.operator is bounds.Operator.TWISTED else [None]:
-                        if any(not bounds._failed_hypothesis(kind, g, m, k, h, gamma)
-                               and bounds.bound_value(kind, m, k, h, p) >= 0
-                               for k in range(plan.b_min, plan.b_max + 1)):
-                            pairs.add((int(rep[amask]),
-                                       bounds._operator_s_gamma(kind, int(rep[smask]), gamma)))
-                            keys.add(bounds._operator_s_gamma(kind, smask, gamma))
-        assert sum(one) == sum(several) == sum(single) == len(pairs)
+        # one counting row per orbit pair of A and a count key that some check reads
+        pairs, keys = orbit_pair_rows(plan, kinds, gammas)
+        assert sum(one) == sum(several) == sum(single) == pairs
         for budget in budgets:
-            witness_rows = sum(rows_per_call[caps[1], budget]) - len(pairs)
+            witness_rows = sum(rows_per_call[caps[1], budget]) - pairs
             assert 0 < witness_rows <= caps[1] * len(keys), budget
 
 
@@ -960,36 +981,16 @@ class TestTranslationClassesOfS:
     @pytest.mark.parametrize("name,gammas", [("Z7", (2, 3)), ("Z2xZ4", None)])
     def test_counting_rows(self, monkeypatch, name, gammas, canonicalize_s):
         # with no witness rows to harvest, each |A| builds one row per count
-        # key some check reads, the operator's (S, gamma) at the least
-        # translate of S, and per orbit of A under the translations and the
-        # units that map every key's S class to itself
+        # key some check reads, the operator's (S, gamma) at the least mask
+        # of S's orbit under translations and units, and per orbit of A
+        # under the translations and the units that map that S to a
+        # translate of itself
         g = rl.parse_group(name)
         plan = rl.EnumerationPlan(group=g, a_max=3, b_max=3, s_min=0, s_max=2,
                                   canonicalize_s=canonicalize_s)
         kinds = bounds.ALL_KINDS
         twisted = gammas if g.is_prime_cyclic else ()
-        p = g.least_prime
-
-        def least(mask):
-            return min(rl.ElementSet(g, mask).translate(x).bits for x in g.elements())
-
-        scaled = {u: scaled_masks(g, u) for u in unit_group(g)}
-        want = 0
-        for m in range(plan.a_min, plan.a_max + 1):
-            keys = set()
-            for smask in plan_s_masks(plan):
-                h = smask.bit_count()
-                for kind in kinds:
-                    for gamma in twisted if kind.operator is bounds.Operator.TWISTED else [None]:
-                        if any(not bounds._failed_hypothesis(kind, g, m, k, h, gamma)
-                               and bounds.bound_value(kind, m, k, h, p) >= 0
-                               for k in range(plan.b_min, plan.b_max + 1)):
-                            keys.add(bounds._operator_s_gamma(kind, least(smask), gamma))
-            fixed = [u for u, image in scaled.items()
-                     if all(least(int(image[smask])) == smask for smask, _ in keys)]
-            a_orbits = {min(least(int(scaled[u][a])) for u in fixed)
-                        for a in range(1 << g.order) if a.bit_count() == m}
-            want += len(a_orbits) * len(keys)
+        want, _ = orbit_pair_rows(plan, kinds, twisted)
         rows = []
         build = _masks.size_table_batch
         monkeypatch.setattr(_masks, "size_table_batch",
@@ -1003,8 +1004,8 @@ class TestUnitOrbits:
     """The kernel counts once per orbit of A under translations and units.
 
     u(a - gamma*b) = ua - gamma*(ub), so (A, B, S) -> (uA, uB, uS) keeps the
-    lhs for every unit u; each |A| pass groups its A masks by the units that
-    map every S class it reads to a translate of itself.
+    lhs for every unit u; at each key S0 an |A| pass groups its A masks by
+    the units that map S0 to a translate of itself.
     """
 
     @pytest.mark.parametrize("name", ["Z7", "Z8", "Z9", "Z10", "Z12", "Z2xZ4", "Z3xZ3"])
@@ -1053,6 +1054,73 @@ class TestUnitOrbits:
         for shards in (1, 3):
             fast = run(shard_count=shards)
             assert fast.to_json(include_timing=False) == slow.to_json(include_timing=False), shards
+
+
+class TestOrbitPairs:
+    """``MaskTables.orbit_pairs``: (A, S) pairs up to translations and units.
+
+    Each orbit of S under translations and all units is keyed at its least
+    mask S0, and the A masks at S0 are grouped under translations and H0, the
+    units that map S0 to a translate of itself.
+    """
+
+    @pytest.mark.parametrize("g", rl.abelian_groups_up_to(10), ids=rl.format_group)
+    def test_weights_cover_every_pair(self, g):
+        t = _masks.tables_for(g)
+        for pin_a, pin_s in itertools.product((False, True), repeat=2):
+            for m in range(1, 4):
+                amasks = size_mask_array(t.pops, m, pin_a)
+                for h in range(4):
+                    smasks = size_mask_array(t.pops, h, pin_s)
+                    pairs = t.orbit_pairs(m, h, pin_a, pin_s)
+                    members = sorted(s for o, _ in pairs for ms in o.members.values() for s in ms)
+                    assert members == smasks.tolist()
+                    covered = sum(int(a.weights.sum()) * sum(map(len, o.members.values()))
+                                  for o, a in pairs)
+                    assert covered == amasks.size * smasks.size, (m, h, pin_a, pin_s)
+
+    @pytest.mark.parametrize("g", [*rl.abelian_groups_up_to(10), rl.parse_group("Z2xZ2xZ2xZ2")],
+                             ids=rl.format_group)
+    def test_reps_are_least_in_their_orbits(self, g):
+        t = _masks.tables_for(g)
+        units = unit_group(g)
+        least = affine_orbit_reps(g, units)
+        translates = affine_orbit_reps(g, (1,))
+        scaled = {u: scaled_masks(g, u) for u in units}
+        reps = {}  # H0 -> least mask of each mask's orbit
+        for pin in (False, True):
+            for m in range(1, 4):
+                amasks = size_mask_array(t.pops, m, pin)
+                for h in range(4):
+                    for o, a in t.orbit_pairs(m, h, pin, pin):
+                        assert least[o.rep] == o.rep
+                        assert o.units == tuple(u for u in units
+                                                if translates[scaled[u][o.rep]] == o.rep)
+                        for u, ms in o.members.items():
+                            assert all(least[s] == o.rep and translates[s]
+                                       == translates[scaled[u][o.rep]] for s in ms), (o, u)
+                        if o.units not in reps:
+                            reps[o.units] = affine_orbit_reps(g, o.units)
+                        assert np.array_equal(reps[o.units][a.reps], a.reps)
+                        assert np.array_equal(a.reps[a.index], reps[o.units][amasks])
+                        assert np.array_equal(a.weights, np.bincount(a.index))
+
+    @pytest.mark.parametrize("kind,a_max,b_max", [(K.PAN_SUN, 4, 2), (K.TWISTED_PAN_SUN, 2, 3)])
+    def test_witness_picks_map_through_units(self, kind, a_max, b_max):
+        # sparse tight hits at |S| = 2 on Z7: some A masks have hits only at
+        # S masks outside the class of S0 = {0, 1}, which the kernel reads off
+        # u^-1 A at S0, and at cap 1 the first A mask's hits are in one class
+        g = rl.parse_group("Z7")
+        plan = rl.EnumerationPlan(group=g, a_max=a_max, b_max=b_max, s_min=2, s_max=2)
+
+        def run(**kw):
+            return [r.to_row() for r in rl.search_witnesses(plan, kind, "tight", **kw)]
+
+        slow = run(force_scalar=True, max_witnesses=10 ** 6)
+        assert len(slow) > 1
+        for cap in (1, 10 ** 6):
+            for shards in (1, 3):
+                assert run(shard_count=shards, max_witnesses=cap) == slow[:cap], (cap, shards)
 
 
 class TestTwistedCanonicalization:
@@ -1305,7 +1373,8 @@ class TestSummarySerialization:
     def test_csv_header_and_rows(self):
         g = rl.parse_group("Z5")
         plan = rl.EnumerationPlan(group=g, s_min=1, s_max=1)
-        csv = rl.exhaustive_verify(plan, [BoundKind.PAN_SUN], max_witnesses=3).to_csv()
+        rows = rl.exhaustive_verify(plan, [BoundKind.PAN_SUN], max_witnesses=3).to_json_dict()
+        csv = bounds.witness_csv(g, rows["violations"] + rows["tight"])
         lines = csv.strip().split("\n")
         assert lines[0] == "group,kind,A,B,S,gamma,lhs,rhs,tight"
         assert len(lines) == 4

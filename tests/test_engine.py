@@ -226,7 +226,7 @@ def test_size_tables_match_oracle(name, monkeypatch):
     for chunk_rows in (1, 3, bounds._chunk_rows(n)):
         calls.clear()
         got = np.full_like(want, -1)
-        for rows, j, sizes in t.size_tables(amasks, keys, chunk_rows):
+        for _, j, rows, sizes in t.size_tables([(amasks, keys)], chunk_rows):
             got[j, rows] = sizes
         assert np.array_equal(got, want), (name, chunk_rows)
         # each table row is built once, in batches of at most chunk_rows rows
