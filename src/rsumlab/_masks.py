@@ -21,9 +21,11 @@ enumerates the S masks of a size up to translations and all units; for each
 orbit's least mask S0 it takes H0, the units that map S0 to a translate of
 itself, and the A masks of a size up to translations and H0, with the
 number of masks in each A orbit.  Each A orbit's least member stands for
-its members at S0, and S0 for the orbit's S masks.  ``size_tables`` builds
-the tables of such (A, key) pairs in chunks of rows across several unit
-groups at once.
+its members at S0, and S0 for the orbit's S masks.  An S orbit's masks meet
+every coset of H0, so A has a hit at some S mask of the orbit iff A's orbit
+under translations and all units, one value of ``orbit_rep(units)``, holds
+an A orbit under H0 with a hit at S0.  ``size_tables`` builds the tables of
+such (A, key) pairs in chunks of rows across several unit groups at once.
 
 Size tables need only the sizes |U[m]|, so ``size_table_batch`` runs
 the recursion on byte planes: byte j of every contribution mask holds the
@@ -56,7 +58,6 @@ class AOrbits:
     """The A masks of one size (``sets.size_mask_array`` order) up to translations and H."""
 
     reps: np.ndarray  # the least mask of each orbit, ascending
-    index: np.ndarray  # index[i]: the orbit of the size's i-th A mask
     weights: np.ndarray  # the size's A masks in each orbit
 
 
@@ -66,7 +67,7 @@ class SOrbit:
 
     rep: int  # S0, the orbit's least mask
     units: tuple[int, ...]  # H0, the units that map S0 to a translate of itself
-    members: dict[int, list[int]]  # u -> the masks that are translates of u*S0, one u per coset
+    members: list[int]  # the size's masks in the orbit, ascending; they meet every coset of H0
 
 
 class MaskTables:
@@ -81,9 +82,9 @@ class MaskTables:
         self.index = index_table(group)
         self.add = self.index.add_array()
         self.pops = popcount_table(n)
-        self.exponent = math.lcm(*group.factors)
+        exponent = math.lcm(*group.factors)
         # the units modulo the exponent, ascending: x -> u*x is an automorphism for these
-        self.units = tuple(u for u in range(1, self.exponent) if math.gcd(u, self.exponent) == 1)
+        self.units = tuple(u for u in range(1, exponent) if math.gcd(u, exponent) == 1)
         self._orbit_reps: dict[tuple[int, ...], np.ndarray] = {}
         self._a_orbits: dict[tuple, AOrbits] = {}
         self._s_orbits: dict[tuple[int, bool], list[SOrbit]] = {}
@@ -127,31 +128,28 @@ class MaskTables:
         if orbits is None:
             masks = size_mask_array(self.pops, a_size, pin_zero)
             orbits = self._a_orbits[key] = AOrbits(*np.unique(
-                self.orbit_rep(units)[masks], return_inverse=True, return_counts=True))
+                self.orbit_rep(units)[masks], return_counts=True))
         return orbits
 
     def s_orbits(self, s_size: int, pin_zero: bool = False) -> list[SOrbit]:
         """The S masks of size ``s_size`` (with 0 when ``pin_zero``) by orbit under
-        translations and all units, by ascending least mask; cached per argument pair."""
+        translations and all units, by ascending least mask; cached per argument pair.
+
+        Each orbit holds u*S0 + x for every unit u, also with 0 pinned (take
+        x = -u*s for an s in S0), so its masks meet every coset of H0.
+        """
         key = (s_size, pin_zero)
         if key not in self._s_orbits:
             masks = size_mask_array(self.pops, s_size, pin_zero)
-            by_rep: dict[int, list[int]] = {}
-            for smask, rep in zip(masks.tolist(), self.orbit_rep(self.units)[masks].tolist()):
-                by_rep.setdefault(rep, []).append(smask)
-            orbits = []
-            for rep in sorted(by_rep):
-                # the least translate of u*S0 -> the units u that give it
-                classes: dict[int, list[int]] = {}
-                for u in self.units:
-                    image = map_bits(rep, self.index.scaled(u))
-                    classes.setdefault(int(self.translation_rep[image]), []).append(u)
-                members: dict[int, list[int]] = {}
-                for smask in by_rep[rep]:
-                    u = classes[int(self.translation_rep[smask])][0]
-                    members.setdefault(u, []).append(smask)
-                orbits.append(SOrbit(rep, tuple(classes[rep]), members))
-            self._s_orbits[key] = orbits
+            reps, index, counts = np.unique(self.orbit_rep(self.units)[masks],
+                                            return_inverse=True, return_counts=True)
+            members = np.split(masks[np.argsort(index, kind="stable")], np.cumsum(counts)[:-1])
+            # S0 is least among its translates, so u is in H0 iff u*S0 has S0 as least translate
+            self._s_orbits[key] = [
+                SOrbit(rep, tuple(u for u in self.units if
+                                  self.translation_rep[map_bits(rep, self.index.scaled(u))] == rep),
+                       ms.tolist())
+                for rep, ms in zip(reps.tolist(), members)]
         return self._s_orbits[key]
 
     def orbit_pairs(self, a_size: int, s_size: int, pin_a: bool = False,
@@ -165,11 +163,6 @@ class MaskTables:
         for its ``weights`` A masks times the orbit's S masks at S0.
         """
         return [(o, self.a_orbits(o.units, a_size, pin_a)) for o in self.s_orbits(s_size, pin_s)]
-
-    def multiples(self, masks: np.ndarray, u: int) -> np.ndarray:
-        """The mask of u*m for each mask m of ``masks``."""
-        members = np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(self.n) & 1
-        return (members << np.asarray(self.index.scaled(u))).sum(axis=1)
 
     def _image_table(self, row) -> np.ndarray:
         """P[m] = mask of {row[b] : b in m} for every mask m, e.g. x + m for an add row."""

@@ -654,12 +654,17 @@ def _vector_shard(
     (A orbit, key) pair of a pass in chunks of ``_chunk_rows`` rows across
     its unit groups, and each chunk's checks run before the next is built.
 
+    A pass counts the checks it compares, by the A masks and S masks each
+    table entry stands for, and checks with no |B| of the plan to compare;
+    ``_run_sweep`` reconciles the total with the plan.
+
     Then it builds tables for the A masks that can still give a collector
-    witness rows, at the real (S, gamma) keys of the S masks that their hit
-    entries stand for.  A has a hit at S = u*S0 + x iff the orbit under H0
-    of u^-1 A has one at S0, one gather per (H0, u) and pass.  Triple keys
-    sort by A mask first, so these are its first ``cap`` masks of this size
-    with a hit, less those whose least key is at or above its
+    witness rows, at the real (S, gamma) keys of every S mask of the entries
+    with a hit.  An entry's S masks meet every coset of its H0, so A has a
+    hit at one of them iff A's orbit under translations and all units holds
+    an A orbit under H0 with a hit, one ``orbit_rep(units)`` lookup per pass.
+    Triple keys sort by A mask first, so these are its first ``cap`` masks
+    of this size with a hit, less those whose least key is at or above its
     ``threshold``; ``_harvest`` offers their hits, computed once per entry
     and offered under each of its S masks when the operator fixes S.
     """
@@ -678,49 +683,49 @@ def _vector_shard(
     else:
         collectors = (res.violations if cfg.collect_violations else res.tight,)
     chunk_rows = _chunk_rows(n)
+    full = t.orbit_rep(t.units)  # one value per orbit of A under translations and all units
 
-    def key_map(m):
+    def key_map(m, a_count):
         """|A| = m's key map, H0 -> (its A orbits, (S, gamma) -> positions in
-        its check entries), the entries, and its (|S| masks, evaluated, pruned).
+        its check entries), and the entries.  It counts each class's pruned
+        checks, its triples, and the checks with no |B| of the plan to compare.
 
-        An entry is (H0, S masks by unit u, their count, kind, gamma, same,
-        rhs): one orbit of the size's S masks under translations and units,
-        keyed at its least mask S0, when the operator reads the sweep's S, and
-        all of them at the fixed key, under u = 1, when the operator fixes S.
+        An entry is (S masks, kind, gamma, same, rhs): one orbit of the
+        size's S masks under translations and units, keyed at its least mask
+        S0, when the operator reads the sweep's S, and all of them at the
+        fixed key when the operator fixes S.
         """
         work: dict[tuple[int, ...], tuple[_masks.AOrbits, dict]] = {}
         entries = []
-        classes = []
         for h, s_list in s_by_size.items():
             checks, evaluated, pruned = _size_class(plan, cfg, m, h)
-            classes.append((len(s_list), evaluated, pruned))
+            triples = a_count * len(s_list) * b_count
+            res.pruned += triples * pruned
+            res.triples += triples if evaluated else 0
             for kind, gamma, same in checks:
                 rhs = _check_rhs(plan, cfg, kind, gamma, m, h, range(n + 1))
                 if max(rhs) < 0:
-                    continue  # no |B| of the plan to check
+                    res.evaluated += triples  # no |B| of the plan to check
+                    continue
                 rhs = np.array(rhs, dtype=np.int8)[t.pops]
                 if kind.reads_s:
                     groups = [(o.rep, o.units, o.members, a) for o, a in t.orbit_pairs(
                         m, h, plan.canonicalize, plan.canonicalize_s)]
                 else:  # every unit fixes S = {} and S = {0}
-                    groups = [(0, t.units, {1: s_list}, t.a_orbits(t.units, m, plan.canonicalize))]
+                    groups = [(0, t.units, s_list, t.a_orbits(t.units, m, plan.canonicalize))]
                 for rep, units, members, a in groups:
                     key = _operator_s_gamma(kind, rep, gamma)
                     work.setdefault(units, (a, {}))[1].setdefault(key, []).append(len(entries))
-                    s_count = sum(map(len, members.values()))
-                    entries.append((units, members, s_count, kind, gamma, same, rhs))
-        return work, entries, classes
+                    entries.append((members, kind, gamma, same, rhs))
+        return work, entries
 
     for m in range(plan.a_min + shard_index, plan.a_max + 1, shard_count):
         mine = size_mask_array(t.pops, m, plan.canonicalize)
-        work, entries, classes = key_map(m)
-        for s_count, evaluated, pruned in classes:
-            res.count(mine.size * s_count * b_count, evaluated, pruned)
+        work, entries = key_map(m, mine.size)
         if not work:
             continue
-        # hit_at[e][c, r]: A orbit r under entry e's H0 had a hit for collectors[c] there
-        hit_at = [np.zeros((len(collectors), work[units][0].reps.size), dtype=bool)
-                  for units, *_ in entries]
+        hit_reps = [[] for _ in collectors]  # the reps of A orbits with a hit, per collector
+        hit_entries = set()
         # one group of (A orbit, key) pairs per H0
         groups = [(orbits, list(keys.values())) for orbits, keys in work.values()]
         tables = [(orbits.reps, list(keys)) for orbits, keys in work.values()]
@@ -728,8 +733,10 @@ def _vector_shard(
             orbits, by_key = groups[k]
             ar = orbits.reps[rows]
             weight = orbits.weights[rows]
+            compared = int(weight.sum()) * b_count  # the A masks and B masks of the rows
             for e in by_key[j]:
-                *_, s_count, kind, gamma, same, rhs = entries[e]
+                members, kind, gamma, same, rhs = entries[e]
+                res.evaluated += compared * len(members)
                 if same:  # only B = A: one entry per row
                     lhs_h, rhs_h = lhs[np.arange(ar.size), ar][:, None], rhs[ar][:, None]
                 else:
@@ -737,35 +744,23 @@ def _vector_shard(
                 hit = cmp(lhs_h, rhs_h)
                 if not hit.any():
                     continue
+                hit_entries.add(e)
                 per_row = _row_counts(hit)
                 counts = (per_row,)
                 if both:  # split the lhs <= rhs hits
                     below = _row_counts(lhs_h < rhs_h)
                     counts = (below, per_row - below)
-                for c, (collector, count) in enumerate(zip(collectors, counts)):
-                    collector.total += s_count * int(count @ weight)
-                    hit_at[e][c, rows] |= count > 0
-        # where[H0, u][i]: the A orbit under H0 of u^-1 A for the i-th mask A of mine,
-        # built for the (H0, u) of the S masks behind each hit entry
-        where = {}
-        hit = np.zeros((len(collectors), mine.size), dtype=bool)  # A has a hit at some S
-        for e, (units, members, *_) in enumerate(entries):
-            if not hit_at[e].any():
-                continue
-            orbits = work[units][0]
-            for u in members:
-                if (units, u) not in where:
-                    if u == 1:
-                        where[units, u] = orbits.index
-                    else:
-                        images = t.orbit_rep(units)[t.multiples(mine, pow(u, -1, t.exponent))]
-                        where[units, u] = np.searchsorted(orbits.reps, images)
-                hit |= hit_at[e][:, where[units, u]]
+                for collector, count, reps in zip(collectors, counts, hit_reps):
+                    collector.total += len(members) * int(count @ weight)
+                    reps.append(ar[count > 0])
+        if not hit_entries:
+            continue
         # witness rows: each collector's first cap masks with a hit, less those
         # whose least possible key is at or above its threshold
+        orbit = full[mine]
         picks = set()  # positions in mine
-        for c, collector in enumerate(collectors):
-            first = np.flatnonzero(hit[c])[:collector.cap]
+        for collector, reps in zip(collectors, hit_reps):
+            first = np.flatnonzero(np.isin(orbit, full[np.concatenate(reps)]))[:collector.cap]
             limit = collector.threshold
             picks.update(i for i, a in zip(first.tolist(), mine[first].tolist())
                          if limit is None or _triple_key(n, a, 0, 0, ALL_KINDS[0], None) < limit)
@@ -773,17 +768,13 @@ def _vector_shard(
             continue
         picks = sorted(picks)
         amasks = mine[picks]
-        # the real (S, gamma) keys of the S masks behind each entry the picks hit
+        # the real (S, gamma) keys of the S masks of each entry with a hit
         real: dict[tuple[int, int], list] = {}
-        for e, (units, members, _, kind, gamma, same, rhs) in enumerate(entries):
-            if not hit_at[e].any():
-                continue
-            for u, s_list in members.items():
-                if not hit_at[e][:, where[units, u][picks]].any():
-                    continue
-                for smasks in ([s] for s in s_list) if kind.reads_s else [s_list]:
-                    key = _operator_s_gamma(kind, smasks[0], gamma)
-                    real.setdefault(key, []).append((smasks, kind, gamma, same, rhs))
+        for e in sorted(hit_entries):
+            members, kind, gamma, same, rhs = entries[e]
+            for smasks in ([s] for s in members) if kind.reads_s else [members]:
+                key = _operator_s_gamma(kind, smasks[0], gamma)
+                real.setdefault(key, []).append((smasks, kind, gamma, same, rhs))
         wanted = list(real)
         for _, j, rows, lhs in t.size_tables([(amasks, wanted)], chunk_rows):
             ar = amasks[rows]
@@ -1019,8 +1010,9 @@ def search_witnesses(
 
     Counterexample mode: triples violating the bare formula with every
     hypothesis deliberately dropped (reports are flagged); an empty result
-    is a perfectly good outcome, never an error.  ``on_planned`` is called as
-    in ``exhaustive_verify``.
+    is a perfectly good outcome, never an error.  A search returns only its
+    witnesses, so ``max_witnesses`` must be at least 1.  ``on_planned`` is
+    called as in ``exhaustive_verify``.
     """
     if mode not in ("tight", "counterexample"):
         raise ValueError(f"unknown search mode {mode!r}")
@@ -1033,6 +1025,9 @@ def search_witnesses(
         force_scalar=force_scalar,
     )
     checks = _planned_checks(plan, cfg, work_ceiling, shard_count, threads)
+    if max_witnesses < 1:  # a negative cap is refused above with the verify message
+        raise ValueError(f"max_witnesses must be >= 1 for a search, which lists only its "
+                         f"witnesses, got {max_witnesses}")
     if on_planned is not None:
         on_planned(checks)
     violations, tight, _ = _run_sweep(plan, cfg, shard_count, threads, checks)

@@ -626,7 +626,10 @@ class TestShardAccounting:
         bare = rl.exhaustive_verify(plan, [K.PAN_SUN], max_witnesses=0)
         assert bare.tight_count == full.tight_count > 0
         assert bare.tight == bare.violations == []
-        assert rl.search_witnesses(plan, K.PAN_SUN, max_witnesses=0) == []
+        # a search lists only its witnesses, so cap 0 would hide them
+        for mode in ("tight", "counterexample"):
+            with pytest.raises(ValueError, match="max_witnesses must be >= 1"):
+                rl.search_witnesses(plan, K.PAN_SUN, mode, max_witnesses=0)
 
     def test_lost_checks_raise(self, monkeypatch):
         honest = bounds._vector_shard
@@ -641,6 +644,21 @@ class TestShardAccounting:
         plan = rl.EnumerationPlan(group=g, s_min=1, s_max=1)
         with pytest.raises(RuntimeError, match="planned|plan has"):
             rl.exhaustive_verify(plan, [BoundKind.THM1])
+
+    def test_dropped_table_chunk_raises(self, monkeypatch):
+        # the kernel counts the checks it compares, so a chunk of tables that
+        # never arrives leaves its checks out and the sweep refuses
+        honest = _masks.MaskTables.size_tables
+
+        def lossy(self, groups, chunk_rows):
+            items = honest(self, groups, chunk_rows)
+            next(items, None)
+            yield from items
+
+        monkeypatch.setattr(_masks.MaskTables, "size_tables", lossy)
+        plan = rl.EnumerationPlan(group=rl.parse_group("Z7"), s_min=1, s_max=2)
+        with pytest.raises(RuntimeError, match="plan has"):
+            rl.exhaustive_verify(plan, [K.THM1], max_witnesses=0)
 
 
 class TestPruneFloor:
@@ -1073,10 +1091,10 @@ class TestOrbitPairs:
                 for h in range(4):
                     smasks = size_mask_array(t.pops, h, pin_s)
                     pairs = t.orbit_pairs(m, h, pin_a, pin_s)
-                    members = sorted(s for o, _ in pairs for ms in o.members.values() for s in ms)
+                    members = sorted(s for o, _ in pairs for s in o.members)
                     assert members == smasks.tolist()
-                    covered = sum(int(a.weights.sum()) * sum(map(len, o.members.values()))
-                                  for o, a in pairs)
+                    assert all(o.members == sorted(o.members) for o, _ in pairs)
+                    covered = sum(int(a.weights.sum()) * len(o.members) for o, a in pairs)
                     assert covered == amasks.size * smasks.size, (m, h, pin_a, pin_s)
 
     @pytest.mark.parametrize("g", [*rl.abelian_groups_up_to(10), rl.parse_group("Z2xZ2xZ2xZ2")],
@@ -1096,14 +1114,14 @@ class TestOrbitPairs:
                         assert least[o.rep] == o.rep
                         assert o.units == tuple(u for u in units
                                                 if translates[scaled[u][o.rep]] == o.rep)
-                        for u, ms in o.members.items():
-                            assert all(least[s] == o.rep and translates[s]
-                                       == translates[scaled[u][o.rep]] for s in ms), (o, u)
+                        assert all(least[s] == o.rep for s in o.members), o
                         if o.units not in reps:
                             reps[o.units] = affine_orbit_reps(g, o.units)
                         assert np.array_equal(reps[o.units][a.reps], a.reps)
-                        assert np.array_equal(a.reps[a.index], reps[o.units][amasks])
-                        assert np.array_equal(a.weights, np.bincount(a.index))
+                        images = reps[o.units][amasks]
+                        assert np.array_equal(a.reps, np.unique(images))
+                        assert np.array_equal(a.weights, [np.count_nonzero(images == r)
+                                                          for r in a.reps.tolist()])
 
     @pytest.mark.parametrize("kind,a_max,b_max", [(K.PAN_SUN, 4, 2), (K.TWISTED_PAN_SUN, 2, 3)])
     def test_witness_picks_map_through_units(self, kind, a_max, b_max):

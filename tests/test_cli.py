@@ -359,6 +359,15 @@ class TestNonsenseCounts:
             assert (code, out) == (2, "")
             assert "max_witnesses must be >= 0" in err
 
+    @pytest.mark.parametrize("mode", ["tight", "counterexample"])
+    def test_search_with_no_witnesses_exits_2(self, capsys, mode):
+        # a search lists only its witnesses, so cap 0 would hide what it found
+        code, out, err = run_cli(capsys, "search", "--group", "Z7", "--bound", "anr",
+                                 "--mode", mode, "--max-a", "3", "--max-b", "3", "--max-s", "2",
+                                 "--max-witnesses", "0")
+        assert (code, out) == (2, "")
+        assert "max_witnesses must be >= 1" in err and "estimated triples" not in err
+
     @pytest.mark.parametrize("flag", ["--prune", "--no-tight"])
     def test_verify_only_flags_rejected_by_search(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
