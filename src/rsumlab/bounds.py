@@ -477,13 +477,11 @@ def _planned_checks(
 ) -> int:
     """The sweep's (A, B, S, kind, gamma) check count, which must be in [1, work_ceiling].
 
-    It also refuses shard and thread counts below 1 and a negative witness cap,
-    so a sweep it accepts runs.
+    It also refuses shard and thread counts below 1, so a sweep it accepts
+    runs; the caller has already checked the witness cap against its floor.
     """
     if shard_count < 1 or threads < 1:
         raise ValueError(f"shard_count and threads must be >= 1, got {shard_count} and {threads}")
-    if cfg.max_witnesses < 0:
-        raise ValueError(f"max_witnesses must be >= 0, got {cfg.max_witnesses}")
     p = plan.group.least_prime
     if not cfg.ignore_applicability and p - 1 in cfg.gammas:
         raise ValueError(f"gamma = {p - 1} is -1 modulo {p}, where no twisted check applies; "
@@ -656,7 +654,7 @@ def _vector_shard(
 
     A pass counts the checks it compares, by the A masks and S masks each
     table entry stands for, and checks with no |B| of the plan to compare;
-    ``_run_sweep`` reconciles the total with the plan.
+    ``_sweep`` reconciles the total with the plan.
 
     Then it builds tables for the A masks that can still give a collector
     witness rows, at the real (S, gamma) keys of every S mask of the entries
@@ -873,18 +871,17 @@ def witness_csv(group: GroupSpec, rows: list[dict]) -> str:
 
 
 def _payload_report(plan: EnumerationPlan, payload: tuple, hypothesis_dropped: bool) -> BoundReport:
+    """A witness payload as a report.  A sweep records a hit only where its rhs
+    is >= 0, that is where the check applies (B = A for ``equal_sets`` kinds),
+    so every report is applicable; with the hypotheses dropped the formula was
+    evaluated as if they held, and the report is flagged so readers know."""
     g = plan.group
     amask, bmask, smask, kind_name, gamma, lhs, rhs = payload
-    a, b, s = ElementSet(g, amask), ElementSet(g, bmask), ElementSet(g, smask)
-    kind = BoundKind(kind_name)
-    if hypothesis_dropped:
-        # the formula was evaluated as if applicable; flag it so readers know
-        applicable, reason = True, "hypotheses deliberately dropped"
-    else:
-        applicable, reason = applicability(kind, g, a, b, s, gamma)
     return BoundReport(
-        kind=kind, a=a, b=b, s=s, gamma=gamma, lhs=lhs, rhs=rhs,
-        applicable=applicable, reason=reason, hypothesis_dropped=hypothesis_dropped,
+        kind=BoundKind(kind_name), a=ElementSet(g, amask), b=ElementSet(g, bmask),
+        s=ElementSet(g, smask), gamma=gamma, lhs=lhs, rhs=rhs, applicable=True,
+        reason="hypotheses deliberately dropped" if hypothesis_dropped else "",
+        hypothesis_dropped=hypothesis_dropped,
     )
 
 
@@ -905,14 +902,21 @@ def _normalize_gammas(plan: EnumerationPlan, kinds, gammas) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _run_sweep(
-    plan: EnumerationPlan,
-    cfg: _SweepConfig,
-    shard_count: int,
-    threads: int,
-    planned: int,
-) -> tuple[_TopK, _TopK, int]:
-    """Run and merge every shard: (violations, tight, triples with an evaluated check)."""
+def _sweep(
+    plan: EnumerationPlan, cfg: _SweepConfig, work_ceiling: int, shard_count: int, threads: int,
+    on_planned: Callable[[int], object] | None,
+) -> VerificationSummary:
+    """Plan the checks, run every shard, reconcile and merge them into a summary.
+
+    ``_planned_checks`` refuses a sweep that cannot run before ``on_planned``,
+    when given, is called with the planned check count.  The shards must
+    evaluate and prune exactly the planned checks between them.
+    ``elapsed_ms`` covers the shards and their merge, not the reports.
+    """
+    checks = _planned_checks(plan, cfg, work_ceiling, shard_count, threads)
+    if on_planned is not None:
+        on_planned(checks)
+    start = time.perf_counter()
     jobs = [(plan, cfg, i, shard_count) for i in range(shard_count)]
     if threads > 1 and shard_count > 1:
         with ProcessPoolExecutor(max_workers=min(threads, shard_count)) as pool:
@@ -921,17 +925,27 @@ def _run_sweep(
         results = [_shard_worker(job) for job in jobs]
     evaluated = sum(r.evaluated for r in results)
     pruned = sum(r.pruned for r in results)
-    if evaluated + pruned != planned:
+    if evaluated + pruned != checks:
         raise RuntimeError(
             f"shards evaluated {evaluated} and pruned {pruned} checks, "
-            f"but the plan has {planned}"
+            f"but the plan has {checks}"
         )
     violations = _TopK(cfg.max_witnesses)
     tight = _TopK(cfg.max_witnesses)
     for r in results:
         violations.merge(r.violations)
         tight.merge(r.tight)
-    return violations, tight, sum(r.triples for r in results)
+    elapsed_ms = int((time.perf_counter() - start) * 1000)
+    dropped = cfg.ignore_applicability
+    return VerificationSummary(
+        plan=plan, kinds=cfg.kinds, gammas=cfg.gammas,
+        triples_checked=sum(r.triples for r in results), checks_planned=checks,
+        violation_count=violations.total, tight_count=tight.total,
+        violations=[_payload_report(plan, p, dropped) for p in violations.sorted_payloads()],
+        tight=[_payload_report(plan, p, dropped) for p in tight.sorted_payloads()],
+        elapsed_ms=elapsed_ms, pruned=cfg.prune, max_witnesses=cfg.max_witnesses,
+        work_ceiling=work_ceiling,
+    )
 
 
 def exhaustive_verify(
@@ -951,46 +965,27 @@ def exhaustive_verify(
     """Check every enumerated triple against every applicable kind.
 
     The summary is deterministic and independent of shard_count/threads.
-    ``prune`` skips (|A|, |S|) classes whose trivial floor max(|A|,|B|) - |S|
-    already meets the largest possible rhs; it preserves the violation report
-    exactly, suppresses tight collection, and leaves out of ``triples_checked``
-    the triples of classes it skips for every kind.  ``on_planned``, when
-    given, is called with the planned check count once ``_planned_checks``
-    has accepted the sweep, before any shard runs.  A kind listed twice is
+    ``max_witnesses`` may be 0, which keeps the counts and lists no witness;
+    a negative cap is refused before anything else.  ``prune`` skips
+    (|A|, |S|) classes whose trivial floor max(|A|,|B|) - |S| already meets
+    the largest possible rhs; it preserves the violation report exactly,
+    suppresses tight collection, and leaves out of ``triples_checked`` the
+    triples of classes it skips for every kind.  ``on_planned``, when given,
+    is called with the planned check count once ``_planned_checks`` has
+    accepted the sweep, before any shard runs.  A kind listed twice is
     checked once, at its first place.
     """
+    if max_witnesses < 0:
+        raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
     kinds = tuple(dict.fromkeys(kinds))
     if not kinds:
         raise ValueError("at least one bound kind required")
-    gammas = _normalize_gammas(plan, kinds, gammas)
-    if prune:
-        collect_tight = False
     cfg = _SweepConfig(
-        kinds=kinds, gammas=gammas, collect_violations=True, collect_tight=collect_tight,
-        ignore_applicability=False, max_witnesses=max_witnesses, prune=prune,
-        force_scalar=force_scalar,
+        kinds=kinds, gammas=_normalize_gammas(plan, kinds, gammas), collect_violations=True,
+        collect_tight=collect_tight and not prune, ignore_applicability=False,
+        max_witnesses=max_witnesses, prune=prune, force_scalar=force_scalar,
     )
-    checks = _planned_checks(plan, cfg, work_ceiling, shard_count, threads)
-    if on_planned is not None:
-        on_planned(checks)
-    start = time.perf_counter()
-    violations, tight, triples = _run_sweep(plan, cfg, shard_count, threads, checks)
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return VerificationSummary(
-        plan=plan,
-        kinds=kinds,
-        gammas=gammas,
-        triples_checked=triples,
-        checks_planned=checks,
-        violation_count=violations.total,
-        tight_count=tight.total,
-        violations=[_payload_report(plan, p, False) for p in violations.sorted_payloads()],
-        tight=[_payload_report(plan, p, False) for p in tight.sorted_payloads()],
-        elapsed_ms=elapsed_ms,
-        pruned=prune,
-        max_witnesses=max_witnesses,
-        work_ceiling=work_ceiling,
-    )
+    return _sweep(plan, cfg, work_ceiling, shard_count, threads, on_planned)
 
 
 def search_witnesses(
@@ -1010,26 +1005,23 @@ def search_witnesses(
 
     Counterexample mode: triples violating the bare formula with every
     hypothesis deliberately dropped (reports are flagged); an empty result
-    is a perfectly good outcome, never an error.  A search returns only its
-    witnesses, so ``max_witnesses`` must be at least 1.  ``on_planned`` is
-    called as in ``exhaustive_verify``.
+    is a perfectly good outcome, never an error.  A search runs the sweep
+    of ``exhaustive_verify``, ``_sweep``, with one collector on and returns
+    only that collector's witnesses, so ``max_witnesses`` must be at least
+    1, which is checked before anything else.  ``on_planned`` is called as
+    in ``exhaustive_verify``.
     """
+    if max_witnesses < 1:
+        raise ValueError(f"max_witnesses must be >= 1 for a search, which lists only its "
+                         f"witnesses, got {max_witnesses}")
     if mode not in ("tight", "counterexample"):
         raise ValueError(f"unknown search mode {mode!r}")
     counterexample = mode == "counterexample"
-    gammas = _normalize_gammas(plan, (kind,), gammas)
     cfg = _SweepConfig(
-        kinds=(kind,), gammas=gammas,
+        kinds=(kind,), gammas=_normalize_gammas(plan, (kind,), gammas),
         collect_violations=counterexample, collect_tight=not counterexample,
         ignore_applicability=counterexample, max_witnesses=max_witnesses, prune=False,
         force_scalar=force_scalar,
     )
-    checks = _planned_checks(plan, cfg, work_ceiling, shard_count, threads)
-    if max_witnesses < 1:  # a negative cap is refused above with the verify message
-        raise ValueError(f"max_witnesses must be >= 1 for a search, which lists only its "
-                         f"witnesses, got {max_witnesses}")
-    if on_planned is not None:
-        on_planned(checks)
-    violations, tight, _ = _run_sweep(plan, cfg, shard_count, threads, checks)
-    bucket = violations if counterexample else tight
-    return [_payload_report(plan, p, counterexample) for p in bucket.sorted_payloads()]
+    summary = _sweep(plan, cfg, work_ceiling, shard_count, threads, on_planned)
+    return summary.violations if counterexample else summary.tight

@@ -16,10 +16,14 @@ The verify runs take every group x kinds {thm1; all but twisted; all} x
 canonical A and S off/on x witness cap 0/1/3/100 x shards 1/3 x |S| in 0..1
 and 0..2; the search runs take Z7, Z2xZ4 and Z9 x pansun, thm1, twisted,
 karolyi and bw x tight/counterexample at caps 1/5/1000 with |S| in 1..2.
+Last come verify runs with ``prune=True`` and with ``collect_tight=False``:
+every group x the three kind sets x canonical off/on x caps 0/3 x shards
+1/3, with |S| in 0..2.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -37,13 +41,14 @@ KIND_SETS = {
 }
 SEARCH_GROUPS = ("Z7", "Z2xZ4", "Z9")
 SEARCH_KINDS = (K.PAN_SUN, K.THM1, K.TWISTED_PAN_SUN, K.KAROLYI, K.BALISTER_WHEELER)
+VERIFY_FLAGS = {"prune": {"prune": True}, "no_tight": {"collect_tight": False}}
 
 
-def _verify(g, kinds, canonical, cap, shards, s_max) -> str:
+def _verify(g, kinds, canonical, cap, shards, s_max, **flags) -> str:
     plan = rl.EnumerationPlan(group=g, s_min=0, s_max=s_max, canonicalize=canonical,
                               canonicalize_s=canonical)
-    return rl.exhaustive_verify(plan, kinds, max_witnesses=cap,
-                                shard_count=shards).to_json(include_timing=False)
+    return rl.exhaustive_verify(plan, kinds, max_witnesses=cap, shard_count=shards,
+                                **flags).to_json(include_timing=False)
 
 
 def _search(g, kind, mode, cap) -> str:
@@ -62,6 +67,12 @@ def runs():
     for name, kind, mode, cap in itertools.product(
             SEARCH_GROUPS, SEARCH_KINDS, ("tight", "counterexample"), (1, 5, 1000)):
         yield ["search", name, kind.value, mode, cap], _search, (rl.parse_group(name), kind, mode, cap)
+    for g in rl.abelian_groups_up_to(9):
+        for flag, (name, kinds), canonical, cap, shards in itertools.product(
+                VERIFY_FLAGS, KIND_SETS.items(), (False, True), (0, 3), (1, 3)):
+            yield (["verify", rl.format_group(g), name, canonical, cap, shards, 2, flag],
+                   functools.partial(_verify, **VERIFY_FLAGS[flag]),
+                   (g, kinds, canonical, cap, shards, 2))
 
 
 def main(dump: str | None) -> None:

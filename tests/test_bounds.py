@@ -1268,6 +1268,90 @@ class TestCountsMatchCheckTriple:
             assert {tuple(r.to_row().values()) for r in found} == below[kind], kind
 
 
+def swept(run, *args, **kwargs):
+    """A sweep's result, or the text of the ValueError it was refused with."""
+    try:
+        return run(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReportsRecheck:
+    """Every witness report re-checks in full through ``check_triple``.
+
+    A sweep records a hit only where its rhs is >= 0, which is where the
+    check applies (B = A for eh and karolyi), so its reports are marked
+    applicable without asking ``applicability``; these tests hold it to
+    that.  With every rhs raised by 1 the tight triples become violations,
+    so both lists of a summary are checked, and the tight rows of eh and
+    karolyi would take in A != B of equal size if a sweep failed to hold
+    B = A.  Each unraised search that runs finds tight triples, so both
+    kinds are covered wherever they apply.  The scalar path walks every
+    triple one at a time, so it runs raised only and up to order 5: on a
+    2-core Xeon host its all-kind Z7 sweep takes 12-22 s and its per-kind
+    Z7 searches about 35 s.
+    """
+
+    CASES = [(rl.format_group(g), raised, False)
+             for g in rl.abelian_groups_up_to(7) for raised in (0, 1)]
+    CASES += [(rl.format_group(g), 1, True) for g in rl.abelian_groups_up_to(5)]
+
+    @pytest.fixture
+    def plan(self, monkeypatch, name, raised):
+        for kind in K:
+            raise_rhs(monkeypatch, kind, raised)
+        return rl.EnumerationPlan(group=rl.parse_group(name), s_min=0, s_max=2)
+
+    @staticmethod
+    def assert_rechecks(g, reports):
+        fields = ("lhs", "rhs", "applicable", "reason", "tight")
+        for rep in reports:
+            again = rl.check_triple(g, rep.a, rep.b, rep.s, rep.kind, rep.gamma)
+            assert [getattr(again, f) for f in fields] == [getattr(rep, f) for f in fields], rep
+
+    @pytest.mark.parametrize("name,raised,force_scalar", CASES)
+    def test_verify_reports(self, plan, raised, force_scalar):
+        summary = rl.exhaustive_verify(plan, list(K), max_witnesses=100,
+                                       force_scalar=force_scalar)
+        assert summary.tight and bool(summary.violations) == bool(raised)
+        self.assert_rechecks(plan.group, summary.violations + summary.tight)
+
+    @pytest.mark.parametrize("name,raised,force_scalar", CASES)
+    def test_search_reports(self, plan, raised, force_scalar):
+        g = plan.group
+        kwargs = dict(max_witnesses=100, force_scalar=force_scalar)
+        for kind in K:
+            found = swept(rl.search_witnesses, plan, kind, "tight", **kwargs)
+            if isinstance(found, str):  # no check of this kind applies on g
+                assert "no planned check applies" in found or "no checks planned" in found
+                continue
+            assert (found or raised) and all(r.tight for r in found)
+            self.assert_rechecks(g, found)
+            for rep in rl.search_witnesses(plan, kind, "counterexample", **kwargs):
+                again = rl.check_triple(g, rep.a, rep.b, rep.s, kind, rep.gamma)
+                assert (again.lhs, again.rhs) == (rep.lhs, rep.rhs) and rep.lhs < rep.rhs
+                assert rep.hypothesis_dropped and rep.applicable
+                assert rep.reason == "hypotheses deliberately dropped"
+
+
+class TestSearchIsVerifyView:
+    """A tight search is the verify sweep of its one kind, read off the tight list."""
+
+    @pytest.mark.parametrize("cap", [1, 5, 1000])
+    @pytest.mark.parametrize("name", ["Z5", "Z7", "Z2xZ4", "Z9"])
+    def test_tight_rows_match(self, name, cap):
+        g = rl.parse_group(name)
+        plan = rl.EnumerationPlan(group=g, s_min=0, s_max=2)
+        kinds = [K.PAN_SUN, K.THM1, K.KAROLYI, K.BALISTER_WHEELER]
+        if g.is_prime_cyclic:
+            kinds.append(K.TWISTED_PAN_SUN)
+        for kind in kinds:
+            found = swept(rl.search_witnesses, plan, kind, "tight", max_witnesses=cap)
+            summary = swept(rl.exhaustive_verify, plan, [kind], max_witnesses=cap)
+            assert found == (summary if isinstance(summary, str) else summary.tight), kind
+            assert isinstance(found, str) == (kind is K.PAN_SUN and not g.is_prime_cyclic)
+
+
 class TestScalarPathAboveTableOrder:
     """Z131 is above ``_masks.MAX_TABLE_ORDER``, so only the scalar path runs.
 

@@ -175,13 +175,13 @@ class TestThreadsAlone:
     def test_threads_shard_the_sweep(self, capsys, monkeypatch, command):
         # without --shards, the sweep is split into one shard per thread
         shard_counts = []
-        run_sweep = bounds._run_sweep
+        sweep = bounds._sweep
 
-        def spy(plan, cfg, shard_count, threads, planned):
+        def spy(plan, cfg, work_ceiling, shard_count, threads, on_planned):
             shard_counts.append((shard_count, threads))
-            return run_sweep(plan, cfg, shard_count, threads, planned)
+            return sweep(plan, cfg, work_ceiling, shard_count, threads, on_planned)
 
-        monkeypatch.setattr(bounds, "_run_sweep", spy)
+        monkeypatch.setattr(bounds, "_sweep", spy)
         outputs = []
         for threads in ("1", "2"):
             _, out, _ = run_cli(capsys, *command, "--no-timing", "--threads", threads)
@@ -353,11 +353,13 @@ class TestNonsenseCounts:
         assert summary["checks_planned"] == 18 * 11
 
     def test_negative_max_witnesses_exit_2(self, capsys):
-        for command in (("verify", "--bound", "thm1"), ("search", "--bound", "thm1")):
+        # each command names its own floor: a search lists only its witnesses
+        for command, floor in ((("verify", "--bound", "thm1"), ">= 0"),
+                               (("search", "--bound", "thm1"), ">= 1")):
             code, out, err = run_cli(capsys, *command, "--group", "Z5", "--max-witnesses", "-3",
                                      "--format", "json")
             assert (code, out) == (2, "")
-            assert "max_witnesses must be >= 0" in err
+            assert f"max_witnesses must be {floor}" in err
 
     @pytest.mark.parametrize("mode", ["tight", "counterexample"])
     def test_search_with_no_witnesses_exits_2(self, capsys, mode):
